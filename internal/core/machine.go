@@ -103,8 +103,21 @@ type Machine struct {
 	flushProbe    uint64
 	flushNonSched uint64
 
+	// Block lifetime (DESIGN.md §15). A block the VLIW Cache replaces or
+	// invalidates returns to the scheduler's pool, slots included, and its
+	// lowered form to lowPool. pinned is the block the VLIW Engine is
+	// executing — or, right after a probe hit, about to execute — which
+	// must outlive its own eviction: orphan holds such an evicted entry
+	// until the engine leaves the block.
+	lowPool vliw.LoweredPool //resetcheck:allow recycled lowered blocks, deliberately kept across runs
+	pinned  *sched.Block
+	orphan  vcache.Entry
+
 	// BlockHook, when set, observes every block saved to the VLIW Cache
-	// (used by the -dumpblocks tool and by tests).
+	// (used by the -dumpblocks tool, the benchmark's recorder and tests).
+	// While it is set no block is recycled, so the observer may keep the
+	// blocks it sees: they are never mutated until the machine is Reset,
+	// which invalidates every block the machine produced.
 	BlockHook func(*sched.Block)
 
 	// CheckpointHook, when set, is invoked at every commit checkpoint of
@@ -271,7 +284,7 @@ func (m *Machine) saveBlock(b *sched.Block) error {
 	m.drain = b.NumLIs
 	var low *vliw.LoweredBlock
 	if !m.cfg.InterpretedEngine {
-		low = vliw.Lower(b, m.cfg.NWin)
+		low = m.lowPool.Lower(b, m.cfg.NWin)
 	}
 	if m.cfg.VerifyBlocks {
 		if rep := blockcheck.Verify(b, low, m.sch.Config()); !rep.Ok() {
@@ -279,7 +292,7 @@ func (m *Machine) saveBlock(b *sched.Block) error {
 		}
 		m.Stats.BlocksVerified++
 	}
-	m.vc.Save(b, low)
+	m.retire(m.vc.Save(b, low))
 	m.Stats.BlocksSaved++
 	if m.pub != nil {
 		m.pub.set.blockLIs.Observe(uint64(b.NumLIs))
@@ -309,9 +322,39 @@ func (m *Machine) saveBlock(b *sched.Block) error {
 	return nil
 }
 
+// retire recycles an entry the VLIW Cache no longer holds: the block and
+// its slots go back to the scheduler, the lowered form to lowPool. The
+// pinned block is kept as the orphan until the engine leaves it, and
+// nothing is recycled while a BlockHook may be keeping blocks.
+func (m *Machine) retire(ent vcache.Entry) {
+	switch {
+	case ent.Blk == nil || m.BlockHook != nil:
+	case ent.Blk == m.pinned:
+		m.orphan = ent
+	default:
+		m.recycle(ent)
+	}
+}
+
+func (m *Machine) recycle(ent vcache.Entry) {
+	m.sch.RecycleBlock(ent.Blk)
+	m.lowPool.Put(ent.Low)
+}
+
+// pin records the block the engine executes next (nil: none), recycling
+// the orphan once the engine has left it.
+func (m *Machine) pin(b *sched.Block) {
+	m.pinned = b
+	if m.orphan.Blk != nil && m.orphan.Blk != b {
+		m.recycle(m.orphan)
+		m.orphan = vcache.Entry{}
+	}
+}
+
 // beginBlock enters a VLIW Cache entry on the engine, preferring the
 // lowered form when the line carries one.
 func (m *Machine) beginBlock(ent vcache.Entry) {
+	m.pin(ent.Blk)
 	if m.tel != nil {
 		if ent.Prof != nil {
 			m.tel.EnterBlockProf(ent.Prof, ent.Blk.NumLIs)
@@ -429,6 +472,9 @@ func (m *Machine) stepPrimary() error {
 	if !m.skipProbe && m.excBudget == 0 {
 		if ent, hitLine, ok := m.vc.LookupLine(pc, m.St.CWP()); ok {
 			m.curLine = hitLine
+			// Saving the flushed block may evict the hit block itself:
+			// pin it first, so it survives until the engine leaves it.
+			m.pin(ent.Blk)
 			blk := m.sch.Flush(pc, m.seq)
 			if blk != nil {
 				m.flushProbe++
@@ -551,29 +597,33 @@ func (m *Machine) stepVLIW() error {
 	if res.Exception {
 		// Recovery already restored the block-entry checkpoint; resume on
 		// the Primary Processor at the block's first instruction.
+		// The engine leaves the block at switchToPrimary, which may
+		// recycle it (an aliasing invalidation orphans it): read what the
+		// checkpoint needs first.
+		tag := blk.Tag
 		if m.tel != nil {
-			m.tel.Exception(blk.Tag, res.Aliasing)
-			m.tel.ExitBlock(blk.Tag, telemetry.ExitException, blk.Tag, 0)
+			m.tel.Exception(tag, res.Aliasing)
+			m.tel.ExitBlock(tag, telemetry.ExitException, tag, 0)
 		}
 		if res.Aliasing {
 			m.Stats.AliasingExceptions++
-			m.vc.Invalidate(blk.Tag, blk.EntryCWP)
-			m.sch.MarkConservative(blk.Tag, blk.EntryCWP)
+			m.retire(m.vc.Invalidate(tag, blk.EntryCWP))
+			m.sch.MarkConservative(tag, blk.EntryCWP)
 		} else {
 			m.Stats.OtherExceptions++
 			m.excBudget = blk.EndSeq - blk.FirstSeq
 			m.pendingExcErr = res.Err
 		}
-		m.switchToPrimary(blk.Tag, &cycles)
+		m.switchToPrimary(tag, &cycles)
 		m.addCycles(cycles, true)
-		where := fmt.Sprintf("rollback of block %#08x (%v)", blk.Tag, res.Err)
+		where := fmt.Sprintf("rollback of block %#08x (%v)", tag, res.Err)
 		if m.Ref != nil {
 			// The rollback must land exactly on the test machine's state.
 			if err := m.compare(where); err != nil {
 				return err
 			}
 		}
-		return m.notifyCheckpoint(0, blk.Tag, where)
+		return m.notifyCheckpoint(0, tag, where)
 	}
 
 	if m.St.LogStores {
@@ -733,29 +783,33 @@ func (m *Machine) runVLIW() error {
 		if res.Exception {
 			// Recovery already restored the block-entry checkpoint; resume
 			// on the Primary Processor at the block's first instruction.
+			// The engine leaves the block at switchToPrimary, which may
+			// recycle it (an aliasing invalidation orphans it): read what the
+			// checkpoint needs first.
+			tag := blk.Tag
 			if m.tel != nil {
-				m.tel.Exception(blk.Tag, res.Aliasing)
-				m.tel.ExitBlock(blk.Tag, telemetry.ExitException, blk.Tag, 0)
+				m.tel.Exception(tag, res.Aliasing)
+				m.tel.ExitBlock(tag, telemetry.ExitException, tag, 0)
 			}
 			if res.Aliasing {
 				m.Stats.AliasingExceptions++
-				m.vc.Invalidate(blk.Tag, blk.EntryCWP)
-				m.sch.MarkConservative(blk.Tag, blk.EntryCWP)
+				m.retire(m.vc.Invalidate(tag, blk.EntryCWP))
+				m.sch.MarkConservative(tag, blk.EntryCWP)
 			} else {
 				m.Stats.OtherExceptions++
 				m.excBudget = blk.EndSeq - blk.FirstSeq
 				m.pendingExcErr = res.Err
 			}
-			m.switchToPrimary(blk.Tag, &cycles)
+			m.switchToPrimary(tag, &cycles)
 			m.addCycles(cycles, true)
-			where := fmt.Sprintf("rollback of block %#08x (%v)", blk.Tag, res.Err)
+			where := fmt.Sprintf("rollback of block %#08x (%v)", tag, res.Err)
 			if m.Ref != nil {
 				// The rollback must land exactly on the test machine's state.
 				if err := m.compare(where); err != nil {
 					return err
 				}
 			}
-			return m.notifyCheckpoint(0, blk.Tag, where)
+			return m.notifyCheckpoint(0, tag, where)
 		}
 
 		switch {
@@ -849,6 +903,7 @@ func (m *Machine) endBlockDrain() error {
 }
 
 func (m *Machine) switchToPrimary(pc uint32, cycles *int) {
+	m.pin(nil)
 	m.mode = ModePrimary
 	m.curLine = vcache.NoLine
 	m.St.PC = pc
@@ -959,14 +1014,15 @@ func (m *Machine) finalCompare() error {
 // Reset returns the machine to its post-NewMachine state so it can run
 // another program over the same (caller-reset and reloaded) architectural
 // state: scheduler, VLIW Cache, engine, instruction/data caches and
-// pipeline are cleared, drained blocks are recycled into the scheduler's
-// block pool, hooks are detached and Stats are zeroed. The architectural
+// pipeline are cleared, drained blocks and their lowered forms are
+// recycled into their pools, hooks are detached and Stats are zeroed. The architectural
 // state itself (registers, memory, program) is the caller's to reset —
 // see MachineContext. Reset does not support TestMode or telemetry
 // machines (the reference clone and collectors are built for one run);
 // MachinePool refuses such configurations.
 func (m *Machine) Reset() {
-	m.vc.Drain(func(ent vcache.Entry) { m.sch.RecycleBlock(ent.Blk) })
+	m.vc.Drain(m.recycle)
+	m.pin(nil)
 	m.sch.Reset()
 	m.eng.Reset()
 	m.ic.Reset()

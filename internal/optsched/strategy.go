@@ -19,10 +19,10 @@ type strategy struct {
 	cfg sched.Config
 }
 
-func (st *strategy) Name() string                                            { return StrategyName }
-func (st *strategy) WantFlushBefore(*sched.Scheduler, *sched.Completed) bool { return false }
-func (st *strategy) WantNewElement(*sched.Scheduler) bool                    { return false }
-func (st *strategy) WantMoveUp(*sched.Scheduler, int) bool                   { return true }
+func (st *strategy) Name() string                                           { return StrategyName }
+func (st *strategy) WantFlushBefore(*sched.Scheduler, sched.Completed) bool { return false }
+func (st *strategy) WantNewElement(*sched.Scheduler) bool                   { return false }
+func (st *strategy) WantMoveUp(*sched.Scheduler, int) bool                  { return true }
 
 func (st *strategy) FinishBlock(u *sched.Scheduler, b *sched.Block) {
 	res := Repack(b, st.cfg, st.cfg.StrategyBudget)

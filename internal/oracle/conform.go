@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"dtsvliw/internal/asm"
 	"dtsvliw/internal/core"
 	"dtsvliw/internal/metrics"
 	"dtsvliw/internal/progcheck"
@@ -35,8 +36,10 @@ type NamedConfig struct {
 // rotates through: the paper's ideal geometries, the feasible machine,
 // and one variant per orthogonal mechanism (multicycle latencies, the
 // §3.11 data-store-list scheme, next-long-instruction prediction, the
-// no-source-forwarding ablation, the interpreted engine, and unchained
-// block dispatch).
+// no-source-forwarding ablation, the interpreted engine, unchained block
+// dispatch, and a two-line direct-mapped VLIW Cache that replaces a line
+// on nearly every save, exercising block recycling under chaining and
+// aliasing invalidation).
 func DefaultConfigs() []NamedConfig {
 	multi := core.IdealConfig(8, 8)
 	multi.LoadLatency, multi.FPLatency, multi.FPDivLatency = 2, 2, 8
@@ -56,6 +59,9 @@ func DefaultConfigs() []NamedConfig {
 	nochain := core.IdealConfig(8, 8)
 	nochain.NoChain = true
 
+	evict := core.IdealConfig(8, 8)
+	evict.VCacheKB, evict.VCacheAssoc = 1, 1
+
 	return []NamedConfig{
 		{"ideal-4x4", core.IdealConfig(4, 4)},
 		{"ideal-8x8", core.IdealConfig(8, 8)},
@@ -68,6 +74,7 @@ func DefaultConfigs() []NamedConfig {
 		{"nofwd", nofwd},
 		{"interpreted", interp},
 		{"nochain", nochain},
+		{"vc1k-dm", evict},
 	}
 }
 
@@ -233,7 +240,7 @@ type sweepRunner struct {
 	o       SweepOptions
 	shapes  []progen.Shape
 	configs []NamedConfig
-	diffRun func(string, core.Config) (*Result, error)
+	diffRun programRunner
 
 	// Metrics plumbing (nil when the process-wide switch is off): reg is
 	// threaded into every machine config so core-layer counters land in
@@ -255,21 +262,23 @@ func newSweepRunner(o SweepOptions, shapes []progen.Shape, configs []NamedConfig
 	}
 	switch {
 	case o.NoReuse && o.EngineDiff:
-		r.diffRun = RunDiffEngines
+		r.diffRun = runDiffEnginesProgram
 	case o.NoReuse:
-		r.diffRun = RunDiff
+		r.diffRun = runDiffProgram
 	default:
 		r.sc = NewSweepContext()
 		if o.EngineDiff {
-			r.diffRun = r.sc.RunDiffEngines
+			r.diffRun = r.sc.runDiffEnginesProgram
 		} else {
-			r.diffRun = r.sc.RunDiff
+			r.diffRun = r.sc.runDiffProgram
 		}
 	}
 	return r
 }
 
-// runCase generates, runs and (on divergence) shrinks case i.
+// runCase generates, certifies, runs and (on divergence) shrinks case i.
+// The program is assembled once: certification and the differential run
+// both take that assembly.
 func (r *sweepRunner) runCase(i int) caseResult {
 	if r.sm != nil {
 		r.sm.busy.Add(1)
@@ -291,7 +300,8 @@ func (r *sweepRunner) runCase(i int) caseResult {
 	nc.Cfg.FastForward = r.o.FastForward
 	nc.Cfg.Metrics = r.reg
 	src := progen.Generate(progen.ShapeParams(shape, seed))
-	if err := progcheck.Certify(src); err != nil {
+	p, err := assembleCertified(src)
+	if err != nil {
 		// A structurally malformed generated program would make every
 		// engine diverge from nothing in particular: reject it before any
 		// engine runs it, and report the generator bug as its own failure.
@@ -300,7 +310,7 @@ func (r *sweepRunner) runCase(i int) caseResult {
 			Lines: countLines(src), Err: err}}
 	}
 
-	res, err := r.diffRun(src, nc.Cfg)
+	res, err := r.diffRun(p, nc.Cfg)
 	if err == nil {
 		return caseResult{instret: res.Instret, cycles: res.Cycles}
 	}
@@ -308,7 +318,7 @@ func (r *sweepRunner) runCase(i int) caseResult {
 		Source: src, OrigLines: countLines(src), Lines: countLines(src)}
 	var d *Divergence
 	if errors.As(err, &d) {
-		small, smallDiv := shrinkWith(src, nc.Cfg, r.o.ShrinkEvals, r.diffRun)
+		small, smallDiv := shrinkWith(src, nc.Cfg, r.o.ShrinkEvals, r.diffRun.onSource)
 		f.Source, f.Lines = small, countLines(small)
 		f.Div = smallDiv
 		if f.Div == nil {
@@ -318,6 +328,17 @@ func (r *sweepRunner) runCase(i int) caseResult {
 		f.Err = err
 	}
 	return caseResult{failure: f}
+}
+
+// assembleCertified assembles a generated program once and certifies that
+// assembly. It fails exactly when progcheck.Certify(src) does, with the
+// same error text.
+func assembleCertified(src string) (*asm.Program, error) {
+	p, err := asm.Assemble(src)
+	if err != nil {
+		return nil, fmt.Errorf("progcheck: assemble: %w", err)
+	}
+	return p, progcheck.CertifyProgram(p, src)
 }
 
 // consume merges one case result into the report, in case order. It

@@ -57,14 +57,13 @@ type Result struct {
 // (it also misbehaves sequentially), which the conformance driver treats
 // as a generator bug rather than a machine bug.
 func RunDiff(source string, cfg core.Config) (*Result, error) {
-	cfg = normalizeDiffConfig(cfg)
+	return programRunner(runDiffProgram).onSource(source, cfg)
+}
 
-	// One assembly serves both machines; the program is loaded into two
-	// independent memories.
-	p, err := asm.Assemble(source)
-	if err != nil {
-		return nil, &ProgramError{Stage: "assemble", Err: err}
-	}
+// runDiffProgram is RunDiff on an already-assembled program: one assembly
+// serves both machines, loaded into two independent memories.
+func runDiffProgram(p *asm.Program, cfg core.Config) (*Result, error) {
+	cfg = normalizeDiffConfig(cfg)
 	refSt := arch.NewState(cfg.NWin, mem.NewMemory())
 	loadProgram(refSt, p)
 	ref := RefOver(refSt)
@@ -77,6 +76,21 @@ func RunDiff(source string, cfg core.Config) (*Result, error) {
 		return nil, &ProgramError{Stage: "machine", Err: err}
 	}
 	return runDiffOn(m, ref)
+}
+
+// programRunner is a differential runner over an assembled program (the
+// plain, engines and pooled paths all have one).
+type programRunner func(*asm.Program, core.Config) (*Result, error)
+
+// onSource adapts a programRunner to assembly source: the public
+// source-taking runners, and the shrinker, whose candidates are
+// re-assembled one by one.
+func (run programRunner) onSource(source string, cfg core.Config) (*Result, error) {
+	p, err := asm.Assemble(source)
+	if err != nil {
+		return nil, &ProgramError{Stage: "assemble", Err: err}
+	}
+	return run(p, cfg)
 }
 
 // normalizeDiffConfig applies the differential runner's config policy:

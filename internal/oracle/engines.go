@@ -38,19 +38,20 @@ type ckpt struct {
 // one; a *ProgramError means the program itself is faulty (both engines
 // reject it identically).
 func RunDiffEngines(source string, cfg core.Config) (*Result, error) {
-	return runDiffEngines(source, cfg, nil)
+	return programRunner(runDiffEnginesProgram).onSource(source, cfg)
+}
+
+// runDiffEnginesProgram is RunDiffEngines on an already-assembled program.
+func runDiffEnginesProgram(p *asm.Program, cfg core.Config) (*Result, error) {
+	return runDiffEngines(p, cfg, nil)
 }
 
 // runDiffEngines is the shared core of RunDiffEngines and the pooled
 // SweepContext.RunDiffEngines: with a non-nil SweepContext the two
 // machines execute on borrowed pooled contexts and the checkpoint trace
 // reuses the context's buffer.
-func runDiffEngines(source string, cfg core.Config, sc *SweepContext) (*Result, error) {
+func runDiffEngines(p *asm.Program, cfg core.Config, sc *SweepContext) (*Result, error) {
 	cfg = normalizeDiffConfig(cfg)
-	p, err := asm.Assemble(source)
-	if err != nil {
-		return nil, &ProgramError{Stage: "assemble", Err: err}
-	}
 
 	// Both contexts stay borrowed until every comparison below is done:
 	// the final check reads both machines' full states side by side.

@@ -54,11 +54,12 @@ func (sc *SweepContext) refState(nwin int) *arch.State {
 // RunDiff is RunDiff executing on borrowed pooled state: identical
 // comparison, identical results, amortised setup cost.
 func (sc *SweepContext) RunDiff(source string, cfg core.Config) (*Result, error) {
+	return programRunner(sc.runDiffProgram).onSource(source, cfg)
+}
+
+// runDiffProgram is the pooled RunDiff on an already-assembled program.
+func (sc *SweepContext) runDiffProgram(p *asm.Program, cfg core.Config) (*Result, error) {
 	cfg = normalizeDiffConfig(cfg)
-	p, err := asm.Assemble(source)
-	if err != nil {
-		return nil, &ProgramError{Stage: "assemble", Err: err}
-	}
 	refSt := sc.refState(cfg.NWin)
 	loadProgram(refSt, p)
 	sc.ref.Rebind(refSt)
@@ -81,5 +82,9 @@ func (sc *SweepContext) RunDiff(source string, cfg core.Config) (*Result, error)
 // RunDiffEngines is RunDiffEngines on borrowed pooled state (one context
 // per engine variant, since the engine selection is part of the pool key).
 func (sc *SweepContext) RunDiffEngines(source string, cfg core.Config) (*Result, error) {
-	return runDiffEngines(source, cfg, sc)
+	return programRunner(sc.runDiffEnginesProgram).onSource(source, cfg)
+}
+
+func (sc *SweepContext) runDiffEnginesProgram(p *asm.Program, cfg core.Config) (*Result, error) {
+	return runDiffEngines(p, cfg, sc)
 }

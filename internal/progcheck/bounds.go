@@ -432,7 +432,8 @@ func (c *CFG) cyclic() []bool {
 // critical paths modelled as cp + (k-1)*rho, architectural window
 // handling) are laid out in DESIGN.md §18; the experiments suite asserts
 // the bound dominates the measured optimal and FCFS IPC on every
-// workload x geometry point.
+// workload x geometry point. c must come from Analyze, which derives the
+// loops.
 func ComputeBound(c *CFG, p BoundParams) *Bound {
 	b := &Bound{Params: p}
 	for li := range c.Loops {

@@ -34,7 +34,7 @@ type Block struct {
 	// or an indirect-branch root.
 	Reachable bool
 	// Idom is the immediate dominator's block index (-1 for roots and
-	// unreachable blocks).
+	// unreachable blocks); set by Analyze.
 	Idom int
 	// CallPad marks the conventionally-dead word after a CALL (returns
 	// land at call+8, so call+4 is padding, idiomatically a nop).
@@ -62,9 +62,9 @@ type CFG struct {
 	Ok    []bool
 
 	Blocks []Block
-	Entry  int   // entry block index
-	Roots  []int // entry plus indirect-branch target roots
-	Loops  []Loop
+	Entry  int    // entry block index
+	Roots  []int  // entry plus indirect-branch target roots
+	Loops  []Loop // natural loops; set by Analyze
 
 	blockOf []int // word index -> block index
 }
@@ -183,8 +183,10 @@ func indirectRoots(p *asm.Program, textBase, textEnd uint32) []uint32 {
 }
 
 // BuildCFG decodes the program's text section and constructs its CFG:
-// basic blocks, branch edges, reachability from the entry and indirect
-// roots, immediate dominators and natural loops.
+// basic blocks, branch edges and reachability from the entry and indirect
+// roots — everything the structural pass needs. Immediate dominators and
+// natural loops are derived by Analyze, because certification never reads
+// them.
 func BuildCFG(p *asm.Program) *CFG {
 	c := &CFG{Prog: p, TextBase: p.TextBase, TextEnd: p.TextBase + p.TextSize}
 	var text []byte
@@ -323,8 +325,6 @@ func BuildCFG(p *asm.Program) *CFG {
 		}
 	}
 
-	c.computeDominators()
-	c.findLoops()
 	return c
 }
 

@@ -7,15 +7,18 @@ import (
 	"dtsvliw/internal/asm"
 )
 
-// build assembles source and constructs its CFG, failing the test on any
-// assembler error.
+// build assembles source and constructs its CFG with dominators and
+// loops, failing the test on any assembler error.
 func build(t *testing.T, source string) *CFG {
 	t.Helper()
 	p, err := asm.Assemble(source)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	return BuildCFG(p)
+	c := BuildCFG(p)
+	c.computeDominators()
+	c.findLoops()
+	return c
 }
 
 // blockStarts lists the CFG's block start addresses.

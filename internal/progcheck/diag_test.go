@@ -24,97 +24,99 @@ func checkSrc(t *testing.T, src string) *Result {
 	return r
 }
 
-// Each seeded-bad program triggers exactly its own kind (plus any listed
-// extras the defect drags along).
-func TestDiagnosticKinds(t *testing.T) {
-	cases := []struct {
-		name  string
-		src   string
-		want  Kind
-		extra []Kind // other kinds the same defect legitimately raises
-	}{
-		{
-			name: "undecodable",
-			src: `
+// seededPrograms holds one seeded-bad program per diagnostic kind.
+var seededPrograms = []struct {
+	name  string
+	src   string
+	want  Kind
+	extra []Kind // other kinds the same defect legitimately raises
+}{
+	{
+		name: "undecodable",
+		src: `
 start:
 	.word 0xffffffff
 	ta 0
 `,
-			want: KindUndecodable,
-			// The undecodable word ends the known control flow, so the
-			// trap after it is (conservatively) unreachable too.
-			extra: []Kind{KindUnreachable},
-		},
-		{
-			name: "branch-out-of-text",
-			src: `
+		want: KindUndecodable,
+		// The undecodable word ends the known control flow, so the
+		// trap after it is (conservatively) unreachable too.
+		extra: []Kind{KindUnreachable},
+	},
+	{
+		name: "branch-out-of-text",
+		src: `
 start:
 	b 0x9000
 	nop
 `,
-			want: KindBranchOutOfText,
-		},
-		{
-			name: "fall-off-end",
-			src: `
+		want: KindBranchOutOfText,
+	},
+	{
+		name: "fall-off-end",
+		src: `
 start:
 	mov 1, %o0
 	add %o0, 1, %o0
 `,
-			want: KindFallOffEnd,
-		},
-		{
-			name: "unreachable",
-			src: `
+		want: KindFallOffEnd,
+	},
+	{
+		name: "unreachable",
+		src: `
 start:
 	ta 0
 orphan:
 	mov 1, %o0
 	ta 0
 `,
-			want: KindUnreachable,
-		},
-		{
-			name: "uninit-read",
-			src: `
+		want: KindUnreachable,
+	},
+	{
+		name: "uninit-read",
+		src: `
 start:
 	add %g1, 1, %o0
 	ta 0
 `,
-			want: KindUninitRead,
-		},
-		{
-			name: "window-depth",
-			src: `
+		want: KindUninitRead,
+	},
+	{
+		name: "window-depth",
+		src: `
 start:
 loop:
 	save %sp, -96, %sp
 	b loop
 	nop
 `,
-			want: KindWindowDepth,
-		},
-		{
-			name: "window-underflow",
-			src: `
+		want: KindWindowDepth,
+	},
+	{
+		name: "window-underflow",
+		src: `
 start:
 	restore
 	ta 0
 `,
-			want: KindWindowUnderflow,
-		},
-		{
-			name: "mem-range",
-			src: `
+		want: KindWindowUnderflow,
+	},
+	{
+		name: "mem-range",
+		src: `
 start:
 	set 0xF00000, %g1
 	ld [%g1], %g2
 	ta 0
 `,
-			want: KindMemRange,
-		},
-	}
-	for _, tc := range cases {
+		want: KindMemRange,
+	},
+}
+
+// Each seeded-bad program triggers exactly its own kind (plus any listed
+// extras the defect drags along).
+func TestDiagnosticKinds(t *testing.T) {
+	for _, tc := range seededPrograms {
 		t.Run(tc.name, func(t *testing.T) {
 			r := checkSrc(t, tc.src)
 			got := kinds(r)

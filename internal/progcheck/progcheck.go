@@ -72,18 +72,29 @@ func (r *Result) Report(name string) string {
 func Analyze(p *asm.Program, source string, o Options) *Result {
 	o.fill()
 	c := BuildCFG(p)
+	c.computeDominators()
+	c.findLoops()
 	ds := c.structural()
 	ds = append(ds, c.uninitReads()...)
 	ds = append(ds, c.windowDepth(o.NWin)...)
 	ds = append(ds, c.memRange(o.StackLo, o.StackHi)...)
+	applyWaivers(ds, source)
+	sortDiags(ds)
+	return &Result{CFG: c, Diags: ds}
+}
+
+// applyWaivers marks the diagnostics a progcheck:allow comment in source
+// covers.
+func applyWaivers(ds []Diagnostic, source string) {
+	if len(ds) == 0 {
+		return
+	}
 	w := parseWaivers(source)
 	for i := range ds {
 		if ds[i].Line > 0 && w.covers(ds[i].Line, ds[i].Kind) {
 			ds[i].Waived = true
 		}
 	}
-	sortDiags(ds)
-	return &Result{CFG: c, Diags: ds}
 }
 
 // Check assembles the source and runs every pass over it.
@@ -95,22 +106,45 @@ func Check(source string, o Options) (*Result, error) {
 	return Analyze(p, source, o), nil
 }
 
-// Certify checks the source and fails on any unwaived hard diagnostic:
-// the gate generated programs pass before the differential oracle or an
-// experiment is allowed to execute them. Advisory diagnostics never fail
-// certification (generated code trips them benignly).
+// Certify assembles the source and certifies it (CertifyProgram): the
+// gate generated programs pass before the differential oracle or an
+// experiment is allowed to execute them.
 func Certify(source string) error {
-	r, err := Check(source, Options{})
+	p, err := asm.Assemble(source)
 	if err != nil {
-		return err
+		return fmt.Errorf("progcheck: assemble: %w", err)
 	}
-	if hard := r.Unwaived(true); len(hard) > 0 {
-		msgs := make([]string, len(hard))
-		for i := range hard {
-			msgs[i] = hard[i].String()
+	return CertifyProgram(p, source)
+}
+
+// CertifyProgram fails on any unwaived hard diagnostic of an
+// already-assembled program; source supplies the waiver comments.
+// Advisory diagnostics never fail certification (generated code trips
+// them benignly), and the structural pass is the only one that emits the
+// hard kinds, so certification builds the CFG and runs that pass alone:
+// it fails exactly when Check(source).Unwaived(true) is non-empty, listing
+// those diagnostics.
+func CertifyProgram(p *asm.Program, source string) error {
+	var hard []Diagnostic
+	for _, d := range BuildCFG(p).structural() {
+		if d.Kind.Hard() {
+			hard = append(hard, d)
 		}
-		return fmt.Errorf("progcheck: %d hard diagnostic(s):\n%s",
-			len(hard), strings.Join(msgs, "\n"))
 	}
-	return nil
+	if len(hard) == 0 {
+		return nil
+	}
+	applyWaivers(hard, source)
+	sortDiags(hard)
+	var msgs []string
+	for i := range hard {
+		if !hard[i].Waived {
+			msgs = append(msgs, hard[i].String())
+		}
+	}
+	if len(msgs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("progcheck: %d hard diagnostic(s):\n%s",
+		len(msgs), strings.Join(msgs, "\n"))
 }

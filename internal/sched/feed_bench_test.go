@@ -71,19 +71,24 @@ func recordTrace(tb testing.TB, shape progen.Shape, seed int64, maxInstr int) []
 	return events
 }
 
-// replay feeds one recorded trace through a scheduler.
+// replay feeds one recorded trace through a scheduler, recycling every
+// flushed block at once, the way the machine recycles a block its VLIW
+// Cache replaces.
 func replay(tb testing.TB, u *Scheduler, events []feedEvent) {
 	for i := range events {
 		ev := &events[i]
+		var b *Block
 		if ev.flush {
-			u.Flush(ev.c.Addr, ev.c.Seq)
-			continue
+			b = u.Flush(ev.c.Addr, ev.c.Seq)
+		} else {
+			var err error
+			if b, err = u.Insert(ev.c); err != nil {
+				tb.Fatal(err)
+			}
 		}
-		if _, err := u.Insert(ev.c); err != nil {
-			tb.Fatal(err)
-		}
+		u.RecycleBlock(b)
 	}
-	u.Flush(0, uint64(len(events)))
+	u.RecycleBlock(u.Flush(0, uint64(len(events))))
 }
 
 // BenchmarkSchedulerFeed measures the Scheduler Unit's insertion hot path

@@ -9,19 +9,27 @@ import (
 // Allocation machinery of the Scheduler Unit hot path. The scheduler
 // recycles element structs across block flushes (blocks take a compact
 // copy of the slot grid, see flush), hands out Slot structs from chunked
-// arenas, and stores footprint Loc slices and rename-pair lists in rolling
-// arenas, so the steady-state insertion path performs no per-instruction
-// heap allocation beyond amortised chunk refills.
+// arenas, and takes back every block — with its slots — that the VLIW
+// Cache replaces or invalidates (RecycleBlock). A slot owns its footprint
+// and rename-pair lists for life, carved from its chunk: a recycled slot
+// keeps them, so once the working set of slots is warm the insertion path
+// performs no heap allocation at all.
 //
-// Every chunk the arenas ever allocate is additionally tracked in a slab
-// list, so Reset can reclaim the whole working set in O(slabs) and a
-// reused scheduler reaches a zero-allocation steady state across runs
-// (the machine-pool reuse path, DESIGN.md §15).
+// Every slot chunk is additionally tracked in a slab list, so Reset can
+// reclaim the whole working set in O(slots) and a reused scheduler
+// reaches a zero-allocation steady state across runs (the machine-pool
+// reuse path, DESIGN.md §15).
 
 const (
-	slotChunkSize = 256  // Slots per arena chunk
-	locChunkSize  = 4096 // footprint Locs per arena chunk
-	pairChunkSize = 1024 // RenamePairs per arena chunk
+	slotChunkSize = 256 // Slots per arena chunk
+	// maxReads and maxWrites bound the footprint of every instruction of
+	// the subset (STD, MULSCC and the double-precision FP operations read
+	// four locations; MULSCC writes three). Each slot gets its lists with
+	// these capacities from its chunk's backings — reads and renamed
+	// sources maxReads, writes, renamed outputs and copies maxWrites — so
+	// a slot's lists never allocate on their own.
+	maxReads  = 4
+	maxWrites = 3
 )
 
 // newSlot returns a zeroed Slot from the free list or the arena chunk.
@@ -34,75 +42,34 @@ func (u *Scheduler) newSlot() *Slot {
 	if len(u.slotChunk) == 0 {
 		u.slotChunk = make([]Slot, slotChunkSize)
 		u.slotSlabs = append(u.slotSlabs, u.slotChunk)
+		locs := make([]isa.Loc, (maxReads+maxWrites)*slotChunkSize)
+		pairs := make([]RenamePair, (maxReads+2*maxWrites)*slotChunkSize)
+		for i := range u.slotChunk {
+			s := &u.slotChunk[i]
+			s.reads, locs = locs[:0:maxReads], locs[maxReads:]
+			s.writes, locs = locs[:0:maxWrites], locs[maxWrites:]
+			s.SrcRenames, pairs = pairs[:0:maxReads], pairs[maxReads:]
+			s.Renames, pairs = pairs[:0:maxWrites], pairs[maxWrites:]
+			s.Copies, pairs = pairs[:0:maxWrites], pairs[maxWrites:]
+		}
 	}
 	s := &u.slotChunk[0]
 	u.slotChunk = u.slotChunk[1:]
 	return s
 }
 
+// reset zeroes the slot for reuse, keeping the storage of its footprint
+// and rename-pair lists.
+func (s *Slot) reset() {
+	*s = Slot{reads: s.reads[:0], writes: s.writes[:0],
+		Renames: s.Renames[:0], SrcRenames: s.SrcRenames[:0], Copies: s.Copies[:0]}
+}
+
 // releaseSlot recycles a Slot that never escaped into a block (e.g. a
-// candidate rebuilt after a flush started a fresh block). Its footprint
-// and rename-pair slices are arena-backed, so they are simply dropped.
+// candidate rebuilt after a flush started a fresh block).
 func (u *Scheduler) releaseSlot(s *Slot) {
-	*s = Slot{}
+	s.reset()
 	u.slotFree = append(u.slotFree, s)
-}
-
-// grabLocs copies a scratch footprint into the Loc arena and returns a
-// capacity-clamped slice owned by the caller (one amortised allocation per
-// locChunkSize locations instead of one per footprint).
-func (u *Scheduler) grabLocs(src []isa.Loc) []isa.Loc {
-	if len(src) == 0 {
-		return nil
-	}
-	if cap(u.locArena)-len(u.locArena) < len(src) {
-		u.locArena = nextSlab(&u.locSlabs, &u.locNext, len(src), locChunkSize)
-	}
-	start := len(u.locArena)
-	u.locArena = append(u.locArena, src...)
-	out := u.locArena[start:]
-	return out[:len(out):len(out)]
-}
-
-// grabPairs is grabLocs for rename-pair lists (Renames, SrcRenames,
-// Copies), which otherwise account for most steady-state allocations:
-// every split appends to slices of slots that escape into blocks.
-func (u *Scheduler) grabPairs(src []RenamePair) []RenamePair {
-	if len(src) == 0 {
-		return nil
-	}
-	if cap(u.pairArena)-len(u.pairArena) < len(src) {
-		u.pairArena = nextSlab(&u.pairSlabs, &u.pairNext, len(src), pairChunkSize)
-	}
-	start := len(u.pairArena)
-	u.pairArena = append(u.pairArena, src...)
-	out := u.pairArena[start:]
-	return out[:len(out):len(out)]
-}
-
-// nextSlab mounts the next recyclable slab with capacity ≥ min from the
-// slab list, allocating (and registering) a new chunk when none fits. The
-// mounted slab is swapped into position *next, so slabs [0, *next) are
-// exactly the ones in use since the last Reset.
-func nextSlab[T any](slabs *[][]T, next *int, min, chunk int) []T {
-	for i := *next; i < len(*slabs); i++ {
-		if cap((*slabs)[i]) >= min {
-			(*slabs)[i], (*slabs)[*next] = (*slabs)[*next], (*slabs)[i]
-			s := (*slabs)[*next][:0]
-			*next++
-			return s
-		}
-	}
-	n := chunk
-	if min > n {
-		n = min
-	}
-	s := make([]T, 0, n)
-	*slabs = append(*slabs, s)
-	last := len(*slabs) - 1
-	(*slabs)[*next], (*slabs)[last] = (*slabs)[last], (*slabs)[*next]
-	*next++
-	return s
 }
 
 // releaseElement resets an element and returns it to the pool. Its slot
@@ -127,14 +94,14 @@ func (u *Scheduler) releaseElement(e *element) {
 
 // takeBlock returns a Block whose LIs grid has n rows of Width slots,
 // recycled from the block pool when possible. Pooled blocks carry a full
-// Height×Width grid (one backing array), so any flush size fits.
+// Height×Width grid (one backing array), so any flush size fits, and keep
+// their trace storage.
 func (u *Scheduler) takeBlock(n int) *Block {
 	if k := len(u.blockPool); k > 0 {
 		b := u.blockPool[k-1]
+		u.blockPool[k-1] = nil
 		u.blockPool = u.blockPool[:k-1]
-		lis := b.LIs[:u.cfg.Height]
-		*b = Block{}
-		b.LIs = lis[:n]
+		*b = Block{LIs: b.LIs[:n], Trace: b.Trace[:0]}
 		return b
 	}
 	w := u.cfg.Width
@@ -147,12 +114,13 @@ func (u *Scheduler) takeBlock(n int) *Block {
 }
 
 // Reset returns the scheduler to its post-New state while keeping every
-// allocation it has accumulated: elements, slots, arena slabs and pooled
-// blocks all become available for the next run. It reclaims storage
-// unconditionally, so it must only be called once no block the scheduler
-// ever flushed is still in use (the machine's reset path drains the VLIW
-// Cache first); any Block or Slot obtained before Reset is invalid after
-// it. Stats are cleared except for the block geometry.
+// allocation it has accumulated: elements, slots (with their list
+// storage) and pooled blocks all become available for the next run. It
+// reclaims storage unconditionally, so it must only be called once no
+// block the scheduler ever flushed is still in use (the machine's reset
+// path drains the VLIW Cache first); any Block or Slot obtained before
+// Reset is invalid after it. Stats are cleared except for the block
+// geometry.
 func (u *Scheduler) Reset() {
 	for _, e := range u.elems {
 		u.releaseElement(e)
@@ -175,33 +143,29 @@ func (u *Scheduler) Reset() {
 	u.trace = u.trace[:0]
 	u.candR.Reset()
 	u.candW.Reset()
-	// Reclaim the slot arena wholesale: every slab slot is zeroed and put
+	// Reclaim the slot arena wholesale: every slab slot is reset and put
 	// back on the free list (slot pointers inside recycled blocks are
 	// overwritten before use — flush copies a full row per long
 	// instruction).
 	u.slotFree = u.slotFree[:0]
 	u.slotChunk = nil
 	for _, slab := range u.slotSlabs {
-		clear(slab)
 		for i := range slab {
+			slab[i].reset()
 			u.slotFree = append(u.slotFree, &slab[i])
 		}
 	}
-	// Rewind the rolling arenas: slabs stay registered, the mount cursors
-	// return to the first slab.
-	u.locArena = nil
-	u.locNext = 0
-	u.pairArena = nil
-	u.pairNext = 0
 	u.Stats = Stats{Width: u.cfg.Width, Height: u.cfg.Height}
 }
 
-// RecycleBlock returns a block produced by this scheduler's Flush to the
-// block pool, once the caller (the VLIW Cache, via the machine's reset
-// path) is done with it. Blocks whose grid no longer matches the full
-// Height×Width pooled layout — hand-built test blocks, or blocks a
-// repacking strategy rewrote with fresh rows — are ignored and left to
-// the garbage collector.
+// RecycleBlock returns a block produced by this scheduler's Flush, and
+// its slots, to the scheduler's pools once the caller is done with it:
+// the machine recycles every block its VLIW Cache replaces or
+// invalidates, and drains the rest at reset. Blocks whose grid no longer
+// matches the full Height×Width pooled layout — hand-built test blocks,
+// or blocks a repacking strategy rewrote with fresh rows — are ignored
+// and left, slots included, to the garbage collector (Reset reclaims the
+// slots).
 func (u *Scheduler) RecycleBlock(b *Block) {
 	if b == nil || cap(b.LIs) < u.cfg.Height {
 		return
@@ -210,6 +174,13 @@ func (u *Scheduler) RecycleBlock(b *Block) {
 	for _, row := range lis {
 		if len(row) != u.cfg.Width {
 			return
+		}
+	}
+	for _, row := range b.LIs {
+		for _, s := range row {
+			if s != nil {
+				u.releaseSlot(s)
+			}
 		}
 	}
 	u.blockPool = append(u.blockPool, b)

@@ -103,20 +103,13 @@ type Scheduler struct {
 	candR isa.Sig
 	candW isa.Sig
 
-	// Allocation recycling (see pool.go). The slab lists additionally
-	// record every chunk the arenas ever allocated so Reset can reclaim
-	// the whole working set; slabs [0, locNext) / [0, pairNext) are the
-	// ones mounted since the last Reset.
+	// Allocation recycling (see pool.go). The slab list additionally
+	// records every slot chunk ever allocated so Reset can reclaim the
+	// whole working set.
 	elemPool  []*element
 	slotChunk []Slot
 	slotSlabs [][]Slot //resetcheck:allow allocation registry; Reset remounts it wholesale
 	slotFree  []*Slot
-	locArena  []isa.Loc
-	locSlabs  [][]isa.Loc //resetcheck:allow allocation registry; Reset rewinds the mount cursor
-	locNext   int
-	pairArena []RenamePair
-	pairSlabs [][]RenamePair //resetcheck:allow allocation registry; Reset rewinds the mount cursor
-	pairNext  int
 	blockPool []*Block //resetcheck:allow recycled-block pool, deliberately kept across runs
 
 	// Reusable scratch buffers for the insertion hot path. Each buffer is
@@ -697,8 +690,9 @@ func hasMemCopy(s *Slot) bool {
 // source operands whose newest in-block value lives in a renaming
 // register, and retiring rename bindings superseded by this instruction's
 // architectural writes. Footprints are assembled in scratch buffers and
-// stored in the Loc arena; the Slot itself comes from the slot pool. The
-// candidate signatures candR/candW are left describing the new slot.
+// copied into the slot's own lists; the Slot itself comes from the slot
+// pool. The candidate signatures candR/candW are left describing the new
+// slot.
 func (u *Scheduler) buildSlot(c Completed) *Slot {
 	s := u.newSlot()
 	s.Inst = c.Inst
@@ -721,15 +715,15 @@ func (u *Scheduler) buildSlot(c Completed) *Slot {
 			}
 		}
 		u.scratchPairsA = srcRen
-		s.SrcRenames = u.grabPairs(srcRen)
+		s.SrcRenames = append(s.SrcRenames[:0], srcRen...)
 		for _, w := range writes {
 			if w.Kind != isa.LocMem {
 				u.renDelete(w)
 			}
 		}
 	}
-	s.reads = u.grabLocs(reads)
-	s.writes = u.grabLocs(writes)
+	s.reads = append(s.reads[:0], reads...)
+	s.writes = append(s.writes[:0], writes...)
 	u.candR.Reset()
 	u.candR.AddSet(s.reads)
 	u.candW.Reset()
@@ -857,13 +851,13 @@ func (u *Scheduler) split(cand *Slot, e *element, slotIdx int, conflicted []isa.
 	}
 	u.scratchRem, u.scratchCpR, u.scratchCpW = remaining, cpReads, cpWrites
 	u.scratchPairsA, u.scratchPairsB = renames, copies
-	cand.Renames = u.grabPairs(renames)
-	copySlot.Copies = u.grabPairs(copies)
-	cand.writes = u.grabLocs(remaining)
+	cand.Renames = append(cand.Renames[:0], renames...)
+	copySlot.Copies = append(copySlot.Copies[:0], copies...)
+	cand.writes = append(cand.writes[:0], remaining...)
 	u.candW.Reset()
 	u.candW.AddSet(cand.writes)
-	copySlot.reads = u.grabLocs(cpReads)
-	copySlot.writes = u.grabLocs(cpWrites)
+	copySlot.reads = append(copySlot.reads[:0], cpReads...)
+	copySlot.writes = append(copySlot.writes[:0], cpWrites...)
 	if u.cfg.FaultDropCopy {
 		// Fault injection (oracle meta-test): lose the copy instruction,
 		// leaving the renamed values stranded in the renaming registers.
@@ -908,7 +902,7 @@ func (u *Scheduler) Insert(c Completed) (*Block, error) {
 	var flushed *Block
 	var cand *Slot
 
-	if len(u.elems) > 0 && u.strat.WantFlushBefore(u, &c) {
+	if len(u.elems) > 0 && u.strat.WantFlushBefore(u, c) {
 		// Strategy-requested early flush (degenerate strategies like
 		// one-per-block): the candidate starts a fresh block below.
 		flushed = u.flush(c.Addr, c.Seq)
@@ -1150,8 +1144,8 @@ func (u *Scheduler) flush(nbaAddr uint32, endSeq uint64) *Block {
 	u.elems = u.elems[:0]
 	u.haveTag = false
 	if u.cfg.RecordTrace {
-		b.Trace = u.trace
-		u.trace = nil
+		b.Trace = append(b.Trace, u.trace...)
+		u.trace = u.trace[:0]
 	}
 	// The strategy sees (and may rewrite) the finished block before flush
 	// statistics and telemetry record its shape.

@@ -242,3 +242,26 @@ func TestDependencyChecksZeroAlloc(t *testing.T) {
 		t.Fatalf("dependency-check steady state allocated %.1f times per run", allocs)
 	}
 }
+
+// TestInsertSteadyStateZeroAlloc: once a scheduler is warm, the whole
+// Insert/Flush path allocates nothing when every flushed block is
+// recycled the way the machine recycles evicted blocks — Insert's
+// argument does not escape, slots keep their list storage, and blocks
+// come back from the pool with their grids.
+func TestInsertSteadyStateZeroAlloc(t *testing.T) {
+	for _, shape := range progen.Shapes() {
+		cfg := feedConfig()
+		if shape == progen.ShapeMulticycle {
+			cfg.LoadLatency, cfg.FPLatency, cfg.FPDivLatency = 2, 3, 8
+		}
+		events := recordTrace(t, shape, 1, 20_000)
+		u, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay(t, u, events) // warm slots, blocks, elements and scratch buffers
+		if allocs := testing.AllocsPerRun(5, func() { replay(t, u, events) }); allocs != 0 {
+			t.Errorf("%s: steady-state Insert/Flush allocated %.1f times per replay", shape, allocs)
+		}
+	}
+}

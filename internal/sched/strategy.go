@@ -27,7 +27,9 @@ type Strategy interface {
 	// returning true flushes the current block first, so the candidate
 	// starts a fresh one. The FCFS hardware never does this; degenerate
 	// reference strategies (one instruction per block) are built from it.
-	WantFlushBefore(u *Scheduler, c *Completed) bool
+	// The candidate is passed by value so Insert's argument never escapes
+	// to the heap.
+	WantFlushBefore(u *Scheduler, c Completed) bool
 
 	// WantNewElement is consulted only after the legality machinery has
 	// proven the candidate may occupy the tail element: returning true
@@ -113,11 +115,11 @@ func init() {
 // (TestDependencyChecksZeroAlloc).
 type fcfsStrategy struct{}
 
-func (fcfsStrategy) Name() string                                { return "fcfs" }
-func (fcfsStrategy) WantFlushBefore(*Scheduler, *Completed) bool { return false }
-func (fcfsStrategy) WantNewElement(*Scheduler) bool              { return false }
-func (fcfsStrategy) WantMoveUp(*Scheduler, int) bool             { return true }
-func (fcfsStrategy) FinishBlock(*Scheduler, *Block)              {}
+func (fcfsStrategy) Name() string                               { return "fcfs" }
+func (fcfsStrategy) WantFlushBefore(*Scheduler, Completed) bool { return false }
+func (fcfsStrategy) WantNewElement(*Scheduler) bool             { return false }
+func (fcfsStrategy) WantMoveUp(*Scheduler, int) bool            { return true }
+func (fcfsStrategy) FinishBlock(*Scheduler, *Block)             {}
 
 // onePerBlockStrategy is the deliberately dumb reference strategy: every
 // block holds exactly one scheduled instruction. It anchors the strategy
@@ -126,7 +128,7 @@ func (fcfsStrategy) FinishBlock(*Scheduler, *Block)              {}
 type onePerBlockStrategy struct{}
 
 func (onePerBlockStrategy) Name() string { return "one-per-block" }
-func (onePerBlockStrategy) WantFlushBefore(u *Scheduler, _ *Completed) bool {
+func (onePerBlockStrategy) WantFlushBefore(u *Scheduler, _ Completed) bool {
 	return len(u.elems) > 0
 }
 func (onePerBlockStrategy) WantNewElement(*Scheduler) bool  { return false }

@@ -325,8 +325,10 @@ func (c *Cache) unlink(v int32) {
 }
 
 // Save stores a block and its (possibly nil) lowered form, replacing the
-// LRU way of its set (or an existing block with the same tag).
-func (c *Cache) Save(b *sched.Block, low *vliw.LoweredBlock) {
+// LRU way of its set (or an existing block with the same tag). It returns
+// the entry the save displaced (zero if the line was empty), which the
+// cache no longer references: the caller may recycle its storage.
+func (c *Cache) Save(b *sched.Block, low *vliw.LoweredBlock) (displaced Entry) {
 	c.Stores++
 	c.clock++
 	base := c.set(b.Tag) * c.cfg.Assoc
@@ -345,6 +347,7 @@ func (c *Cache) Save(b *sched.Block, low *vliw.LoweredBlock) {
 		}
 	}
 	if c.lines[victim].valid {
+		displaced = c.lines[victim].ent
 		// Every overwrite severs the victim's chain edges — including a
 		// same-tag reschedule, whose cached lowered form is replaced, so
 		// a link must re-resolve through Lookup before it is trusted
@@ -369,17 +372,22 @@ func (c *Cache) Save(b *sched.Block, low *vliw.LoweredBlock) {
 	*vl = line{valid: true, tag: b.Tag, cwp: b.EntryCWP,
 		ent: ent, lru: c.clock,
 		edges: vl.edges[:0], inRefs: vl.inRefs[:0]}
+	return displaced
 }
 
 // Invalidate drops the block tagged (addr, cwp) (paper §3.11: aliasing
-// exceptions invalidate the faulting block), severing its chain edges.
-func (c *Cache) Invalidate(addr uint32, cwp uint8) {
+// exceptions invalidate the faulting block), severing its chain edges. It
+// returns the dropped entry (zero if none was cached), which the cache no
+// longer references.
+func (c *Cache) Invalidate(addr uint32, cwp uint8) (dropped Entry) {
 	base := c.set(addr) * c.cfg.Assoc
 	for i := 0; i < c.cfg.Assoc; i++ {
 		l := &c.lines[base+i]
 		if l.valid && l.tag == addr && l.cwp == cwp {
 			c.unlink(int32(base + i))
+			dropped = l.ent
 			l.valid = false
+			l.ent = Entry{}
 			c.Invalidats++
 			c.SetInvalidations[c.group(c.set(addr))]++
 			if c.tel != nil {
@@ -387,6 +395,7 @@ func (c *Cache) Invalidate(addr uint32, cwp uint8) {
 			}
 		}
 	}
+	return dropped
 }
 
 // Reset clears the cache.

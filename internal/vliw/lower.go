@@ -80,10 +80,11 @@ type lop struct {
 	// renAll lists every rename target of the slot; a deferred exception
 	// is stashed in all of them (paper §3.8). memRens lists the memory
 	// renaming registers a split store's buffered write is routed to.
-	renAll  []int32
-	memRens []int32
-
-	copies []lcopy // copy slots only
+	// copies lists what a copy slot commits. All three are windows of
+	// the block's handle and copy backings, held as offsets and lengths
+	// (LoweredBlock.renAll/memRens/copiesOf) to keep ops compact.
+	ren0, mem0, cp0     int32
+	nRen, nMem, nCopies uint8
 }
 
 // lline is one lowered long instruction: its branches for phase-1
@@ -99,17 +100,75 @@ type LoweredBlock struct {
 	b        *sched.Block
 	lines    []lline
 	renTotal int // flattened renaming registers across all classes
+
+	// Storage sized once per lowering: every line's branches and ops, and
+	// every op's rename handles and copies, are windows into these four
+	// backings. A fresh lowering allocates each (and lines) once; a block
+	// recycled through a LoweredPool reuses them and allocates nothing.
+	brs     []lbr
+	ops     []lop
+	handles []int32
+	copies  []lcopy
 }
 
 // Block returns the scheduled block this lowering was produced from.
 func (lb *LoweredBlock) Block() *sched.Block { return lb.b }
 
-// lowerer carries the per-block context of one lowering pass.
+func (lb *LoweredBlock) renAll(op *lop) []int32 {
+	return lb.handles[op.ren0 : op.ren0+int32(op.nRen)]
+}
+
+func (lb *LoweredBlock) memRens(op *lop) []int32 {
+	return lb.handles[op.mem0 : op.mem0+int32(op.nMem)]
+}
+
+func (lb *LoweredBlock) copiesOf(op *lop) []lcopy {
+	return lb.copies[op.cp0 : op.cp0+int32(op.nCopies)]
+}
+
+// LoweredPool recycles lowered blocks whose VLIW Cache line was replaced
+// or invalidated, the way the paper's cache line is fixed storage that a
+// newly saved block overwrites (§3.4). Not safe for concurrent use.
+type LoweredPool struct {
+	free []*LoweredBlock
+}
+
+// Put returns a lowered block to the pool once nothing executes or
+// observes it any more (nil is ignored).
+func (p *LoweredPool) Put(lb *LoweredBlock) {
+	if lb == nil {
+		return
+	}
+	lb.b = nil
+	p.free = append(p.free, lb)
+}
+
+// Lower is the package-level Lower reusing a pooled block's storage.
+func (p *LoweredPool) Lower(b *sched.Block, nwin int) *LoweredBlock {
+	var lb *LoweredBlock
+	if n := len(p.free); n > 0 {
+		lb = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		lb = &LoweredBlock{}
+	}
+	if !lb.lower(b, nwin) {
+		p.Put(lb)
+		return nil
+	}
+	return lb
+}
+
+// lowerer carries the per-block context of one lowering pass: the rename
+// class bases and the handle and copy backings being filled.
 type lowerer struct {
-	b    *sched.Block
-	nwin int
-	base [sched.NumRenameClasses]int
-	fail bool
+	b       *sched.Block
+	nwin    int
+	base    [sched.NumRenameClasses]int
+	fail    bool
+	handles []int32
+	copies  []lcopy
 }
 
 func (lo *lowerer) flatOf(r sched.RenameReg) int32 {
@@ -127,16 +186,66 @@ func (lo *lowerer) renH(r sched.RenameReg) int32 { return ^lo.flatOf(r) }
 // engine then interprets the block); the scheduler never emits those for
 // schedulable traces, so nil is a defensive fallback, not a normal path.
 func Lower(b *sched.Block, nwin int) *LoweredBlock {
-	lo := &lowerer{b: b, nwin: nwin}
+	lb := &LoweredBlock{}
+	if !lb.lower(b, nwin) {
+		return nil
+	}
+	return lb
+}
+
+// backing returns s emptied with capacity for at least n elements,
+// reusing its storage when it is large enough.
+func backing[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// window returns s[start:] with its capacity clamped, or nil when empty.
+func window[T any](s []T, start int) []T {
+	if len(s) == start {
+		return nil
+	}
+	return s[start:len(s):len(s)]
+}
+
+// lower fills lb with the lowering of b, sizing every backing from one
+// counting pass over the slot grid first. It reports false when the block
+// is not representable.
+func (lb *LoweredBlock) lower(b *sched.Block, nwin int) bool {
+	lo := lowerer{b: b, nwin: nwin}
 	tot := 0
 	for c := 0; c < int(sched.NumRenameClasses); c++ {
 		lo.base[c] = tot
 		tot += int(b.Renames[c])
 	}
-	lb := &LoweredBlock{b: b, renTotal: tot, lines: make([]lline, b.NumLIs)}
+	nBrs, nOps, nHandles, nCopies := 0, 0, 0, 0
 	for li := 0; li < b.NumLIs; li++ {
-		var brs []lbr
-		var ops []lop
+		for _, s := range b.LIs[li] {
+			if s == nil {
+				continue
+			}
+			nOps++
+			if s.IsCondOrIndirectBranch() {
+				nBrs++
+			}
+			nHandles += len(s.Renames)
+			for _, p := range s.Renames {
+				if p.Loc.Kind == isa.LocMem {
+					nHandles++
+				}
+			}
+			if s.IsCopy {
+				nCopies += len(s.Copies)
+			}
+		}
+	}
+	brs, ops := backing(lb.brs, nBrs), backing(lb.ops, nOps)
+	lo.handles, lo.copies = backing(lb.handles, nHandles), backing(lb.copies, nCopies)
+	lines := backing(lb.lines, b.NumLIs)
+	for li := 0; li < b.NumLIs; li++ {
+		b0, o0 := len(brs), len(ops)
 		for _, s := range b.LIs[li] {
 			if s == nil {
 				continue
@@ -146,16 +255,15 @@ func Lower(b *sched.Block, nwin int) *LoweredBlock {
 			}
 			op, ok := lo.lowerSlot(s)
 			if !ok || lo.fail {
-				return nil
+				return false
 			}
 			ops = append(ops, op)
 		}
-		lb.lines[li] = lline{brs: brs, ops: ops}
+		lines = append(lines, lline{brs: window(brs, b0), ops: window(ops, o0)})
 	}
-	if lo.fail {
-		return nil
-	}
-	return lb
+	*lb = LoweredBlock{b: b, lines: lines, renTotal: tot,
+		brs: brs, ops: ops, handles: lo.handles, copies: lo.copies}
+	return true
 }
 
 // lowerBranch pre-resolves a conditional or indirect branch for phase-1
@@ -256,18 +364,24 @@ func (lo *lowerer) lowerSlot(s *sched.Slot) (lop, bool) {
 		isMem: s.IsMem, isStore: s.IsStore, cross: s.Cross,
 		memRenamed: s.MemRenamed, memSize: s.MemSize, order: s.Order,
 	}
+	op.ren0 = int32(len(lo.handles))
 	for _, p := range s.Renames {
-		op.renAll = append(op.renAll, lo.flatOf(p.Reg))
+		lo.handles = append(lo.handles, lo.flatOf(p.Reg))
+	}
+	op.mem0 = int32(len(lo.handles))
+	for _, p := range s.Renames {
 		if p.Loc.Kind == isa.LocMem {
-			op.memRens = append(op.memRens, lo.flatOf(p.Reg))
+			lo.handles = append(lo.handles, lo.flatOf(p.Reg))
 		}
 	}
+	op.nRen, op.nMem = uint8(op.mem0-op.ren0), uint8(int32(len(lo.handles))-op.mem0)
 	if s.IsCopy {
 		op.isCopy = true
-		op.copies = make([]lcopy, len(s.Copies))
-		for i, p := range s.Copies {
-			op.copies[i] = lcopy{flat: lo.flatOf(p.Reg), kind: p.Loc.Kind, idx: p.Loc.Idx}
+		op.cp0 = int32(len(lo.copies))
+		for _, p := range s.Copies {
+			lo.copies = append(lo.copies, lcopy{flat: lo.flatOf(p.Reg), kind: p.Loc.Kind, idx: p.Loc.Idx})
 		}
+		op.nCopies = uint8(int32(len(lo.copies)) - op.cp0)
 		return op, true
 	}
 

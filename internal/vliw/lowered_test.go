@@ -126,3 +126,25 @@ func TestEngineHotLoopZeroAlloc(t *testing.T) {
 		t.Fatalf("warmed lowered hot loop allocates %.1f allocs/block, want 0", allocs)
 	}
 }
+
+// TestPooledLowerMatchesFresh: lowering into a recycled LoweredBlock —
+// whose backings still hold another block's lowering — yields exactly a
+// fresh lowering, and once the pool is warm it allocates nothing.
+func TestPooledLowerMatchesFresh(t *testing.T) {
+	small := block(0x2000, []*sched.Slot{slot(isa.Inst{Op: isa.OpADD, Rd: 1, Rs1: 1, UseImm: true, Imm: 1}, 0x2000, 0)})
+	var pool LoweredPool
+	for i, b := range []*sched.Block{richBlock(), small, richBlock()} {
+		lb := pool.Lower(b, 8)
+		if lb == nil {
+			t.Fatalf("block %d did not lower", i)
+		}
+		if err := CheckLowered(b, lb, 8); err != nil {
+			t.Fatalf("block %d: pooled lowering differs from a fresh one: %v", i, err)
+		}
+		pool.Put(lb)
+	}
+	b := richBlock()
+	if allocs := testing.AllocsPerRun(100, func() { pool.Put(pool.Lower(b, 8)) }); allocs != 0 {
+		t.Fatalf("lowering into a pooled block allocates %.1f times, want 0", allocs)
+	}
+}

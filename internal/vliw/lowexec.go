@@ -179,10 +179,10 @@ func (e *Engine) execLoweredLIInto(line int, res *Result) {
 		}
 		due := line + int(op.lat) - 1
 		if err := e.execLoweredOp(op, due); err != nil {
-			if len(op.renAll) > 0 {
+			if op.nRen > 0 {
 				// Deferred exception: stash it in the renaming registers;
 				// it surfaces only if a copy commits (paper §3.8).
-				for _, f := range op.renAll {
+				for _, f := range lb.renAll(op) {
 					e.scLRens = append(e.scLRens, lpendRen{due: due, flat: f, v: renVal{exc: err}})
 				}
 				continue
@@ -248,8 +248,9 @@ func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 
 // execLoweredCopy is execCopy over the flat rename arena.
 func (e *Engine) execLoweredCopy(op *lop, line int) error {
-	for i := range op.copies {
-		c := &op.copies[i]
+	cps := e.lb.copiesOf(op)
+	for i := range cps {
+		c := &cps[i]
 		rv := e.getRenBypassFlat(c.flat)
 		if rv.exc != nil {
 			return rv.exc
@@ -603,7 +604,7 @@ func (e *Engine) execLoweredMem(op *lop, due int) error {
 		// Split store: the buffered write moves to the memory renaming
 		// register; the access is charged when its memory copy commits.
 		rv := renVal{st: sts, nst: nst, memEA: ea}
-		for _, f := range op.memRens {
+		for _, f := range e.lb.memRens(op) {
 			e.scLRens = append(e.scLRens, lpendRen{due: due, flat: f, v: rv})
 		}
 		return nil
