@@ -11,12 +11,12 @@
 //	dtsvliw-oracle -n 200 -shapes aliasing,multicycle -configs multicycle
 //	dtsvliw-oracle -replay 422 -shapes aliasing -configs multicycle
 //
-// With -engines the runner instead lock-steps the decode-once lowered
-// VLIW Engine against the interpreted engine on the same program
-// (DESIGN.md §11), checkpoint by checkpoint, including a cycle-count
-// comparison:
+// The machine runs every block in its decode-once lowered form (DESIGN.md
+// §11), the only form the VLIW Engine executes. -verify-blocks also
+// proves every saved block legal and its lowered form faithful to the
+// slot grid (internal/blockcheck):
 //
-//	dtsvliw-oracle -n 2000 -engines
+//	dtsvliw-oracle -n 2000 -configs vc1k-dm -verify-blocks
 //
 // -par fans the sweep out over worker goroutines with per-worker machine
 // pools; the report is byte-identical for every worker count:
@@ -47,7 +47,6 @@ func main() {
 		maxFail = flag.Int("maxfail", 1, "stop after this many failures")
 		shrink  = flag.Int("shrink", 0, "differential runs each shrink may spend (0 = default)")
 		replay  = flag.Int64("replay", -1, "replay a single seed (use with -shapes/-configs to pin the case)")
-		engines = flag.Bool("engines", false, "lock-step the lowered VLIW Engine against the interpreted engine instead of the sequential reference")
 		verifyB = flag.Bool("verify-blocks", false, "statically verify the legality of every block the scheduler saves (internal/blockcheck)")
 		par     = flag.Int("par", 1, "sweep workers (0 = one per CPU; results are identical for any worker count)")
 		noReuse = flag.Bool("noreuse", false, "rebuild every machine from scratch instead of reusing pooled contexts (slower; identical results)")
@@ -83,7 +82,6 @@ func main() {
 		Configs:      configList,
 		MaxFail:      *maxFail,
 		ShrinkEvals:  *shrink,
-		EngineDiff:   *engines,
 		VerifyBlocks: *verifyB,
 		Workers:      *par,
 		NoReuse:      *noReuse,
@@ -138,7 +136,7 @@ func main() {
 					Config: map[string]string{
 						"n": fmt.Sprint(opts.N), "seed": fmt.Sprint(opts.Seed),
 						"shapes": *shapes, "configs": *configs,
-						"engines": fmt.Sprint(*engines), "workers": fmt.Sprint(workers),
+						"workers": fmt.Sprint(workers),
 					},
 					Progress: &introspect.Progress{
 						Done: int(doneCount.Load()), Total: opts.N, Workers: workers,

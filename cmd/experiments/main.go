@@ -8,8 +8,8 @@
 //
 //	experiments [-run fig5,table3] [-max N] [-csv] [-v] [-par N]
 //	            [-profile] [-profile-top N]
-//	            [-bench-out BENCH_SCHED.json] [-bench-interpreted]
-//	            [-bench-nochain] [-bench-telemetry] [-bench-overhead-gate PCT]
+//	            [-bench-out BENCH_SCHED.json] [-bench-nochain]
+//	            [-bench-telemetry] [-bench-overhead-gate PCT]
 //	            [-bench-diff OLD.json,NEW.json] [-bench-gate PCT]
 //	            [-bench-win-gate PCT] [-sweep-gate]
 //	            [-cpuprofile cpu.prof] [-memprofile mem.prof]
@@ -17,9 +17,8 @@
 // -bench-diff compares two benchmark reports entry by entry (ns/instr and
 // allocs/instr deltas); with -bench-gate it exits nonzero when any
 // machine entry's ns/instr regressed by more than PCT percent.
-// -bench-interpreted measures the machine rows with the interpreted VLIW
-// Engine, producing the on-runner baseline the CI perf gate compares the
-// lowered engine against. -bench-nochain measures the machine rows with
+// Machine rows always run the VLIW Engine on decode-once lowered blocks
+// (DESIGN.md §11), its only execution form. -bench-nochain measures the machine rows with
 // direct block chaining disabled, the baseline of the chaining perf gate;
 // -bench-win-gate then requires at least half the machine rows to have
 // improved ns/instr by PCT percent. -bench-telemetry measures the machine rows with
@@ -58,8 +57,6 @@ func main() {
 	par := flag.Int("par", 0, "simulation workers (0 = one per CPU, 1 = serial)")
 	benchOut := flag.String("bench-out", "",
 		"measure the benchmark matrix and write BENCH_SCHED.json to this path (skips -run)")
-	benchInterp := flag.Bool("bench-interpreted", false,
-		"with -bench-out: measure machine rows with the interpreted VLIW Engine (perf-gate baseline)")
 	benchTel := flag.Bool("bench-telemetry", false,
 		"with -bench-out: measure machine rows with telemetry enabled (overhead comparison side)")
 	benchNoChain := flag.Bool("bench-nochain", false,
@@ -112,7 +109,7 @@ func main() {
 	}
 
 	o := experiments.Options{MaxInstrs: *max, TestMode: *test, Workers: *par,
-		InterpretedEngine: *benchInterp, NoChain: *benchNoChain, Telemetry: *benchTel}
+		NoChain: *benchNoChain, Telemetry: *benchTel}
 	if *verbose {
 		o.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}

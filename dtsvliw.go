@@ -117,12 +117,6 @@ type Config struct {
 	// cross-checking and perf baselines.
 	NoChain bool
 
-	// InterpretedEngine disables the decode-once lowered block form and
-	// makes the VLIW Engine re-interpret scheduler slots each execution
-	// (DESIGN.md §11). Behaviourally identical; for conformance sweeps
-	// and debugging.
-	InterpretedEngine bool
-
 	// SchedStrategy selects the Scheduler Unit's placement policy by
 	// registry name (DESIGN.md §14): empty selects "fcfs", the paper's
 	// hardware algorithm; "optimal" repacks every block to its minimum
@@ -177,7 +171,6 @@ func (c Config) toInternal() (core.Config, error) {
 	}
 	base.ExitPrediction = c.ExitPrediction
 	base.NoChain = c.NoChain
-	base.InterpretedEngine = c.InterpretedEngine
 	base.SchedStrategy = c.SchedStrategy
 	base.SchedNodeBudget = c.SchedNodeBudget
 	base.LoadLatency = c.LoadLatency

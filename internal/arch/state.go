@@ -86,8 +86,11 @@ func (s *State) Reset() {
 }
 
 // SetTextRange installs a decoded-instruction cache over [base, base+size).
-// Self-modifying code is not supported. Installing a new range over a
-// state whose previous cache has enough capacity reuses its storage.
+// Nothing checks for self-modifying code: each word is decoded on first
+// fetch and that decode wins, so a later store into the range is never
+// re-decoded and the old instruction keeps executing. Installing a new
+// range over a state whose previous cache has enough capacity reuses its
+// storage.
 func (s *State) SetTextRange(base, size uint32) {
 	n := int(size / 4)
 	if d := s.dec; d != nil && cap(d.insts) >= n {

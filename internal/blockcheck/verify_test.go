@@ -58,8 +58,6 @@ func verifyConfigs() []oracle.NamedConfig {
 	multi.LoadLatency, multi.FPLatency, multi.FPDivLatency = 2, 2, 8
 	nofwd := core.IdealConfig(8, 8)
 	nofwd.NoSourceForwarding = true
-	interp := core.IdealConfig(8, 8)
-	interp.InterpretedEngine = true
 	nochain := core.IdealConfig(8, 8)
 	nochain.NoChain = true
 	return []oracle.NamedConfig{
@@ -68,7 +66,6 @@ func verifyConfigs() []oracle.NamedConfig {
 		{Name: "feasible", Cfg: core.FeasibleConfig()},
 		{Name: "multicycle", Cfg: multi},
 		{Name: "nofwd", Cfg: nofwd},
-		{Name: "interpreted", Cfg: interp},
 		{Name: "nochain", Cfg: nochain},
 	}
 }
@@ -139,7 +136,7 @@ func capturedBlocks(t *testing.T, cfg core.Config) *capture {
 // breaks exactly one invariant.
 func wantKind(t *testing.T, cap *capture, b *sched.Block, k blockcheck.Kind) *blockcheck.Report {
 	t.Helper()
-	rep := blockcheck.Verify(b, nil, cap.scfg)
+	rep := blockcheck.Verify(b, vliw.Lower(b, cap.nwin), cap.scfg)
 	if !rep.Has(k) {
 		t.Fatalf("tampered block: want %v among violations, got %v\n%s", k, rep.Kinds(), rep)
 	}
@@ -305,6 +302,15 @@ func TestTamperDetection(t *testing.T) {
 		rep := blockcheck.Verify(a, lowB, cap.scfg)
 		if !rep.Has(blockcheck.KindLowered) {
 			t.Fatalf("foreign lowered form accepted: %v", rep.Kinds())
+		}
+	})
+
+	t.Run("lowered-missing", func(t *testing.T) {
+		// A block with no lowered form (vliw.Lower returned nil) is a
+		// broken scheduler invariant, never a skipped check.
+		rep := blockcheck.Verify(cap.blocks[0], nil, cap.scfg)
+		if kinds := rep.Kinds(); len(kinds) != 1 || kinds[0] != blockcheck.KindLowered {
+			t.Fatalf("missing lowered form: want only %v, got %v", blockcheck.KindLowered, kinds)
 		}
 	})
 }

@@ -83,8 +83,9 @@ const (
 	// with the trace's memory-access order, so the engine's dynamic
 	// aliasing detection could miss a reordered pair.
 	KindMemOrder
-	// KindLowered: the lowered micro-op form stored alongside the block
-	// does not decode to the same semantic operations as the slot grid.
+	// KindLowered: the block has no lowered micro-op form, or the form
+	// stored alongside it does not decode to the same semantic
+	// operations as the slot grid.
 	KindLowered
 
 	numKinds

@@ -57,13 +57,6 @@ type Config struct {
 	// data-store-list alternative.
 	StoreScheme vliw.StoreScheme
 
-	// InterpretedEngine disables block lowering: the VLIW Engine
-	// re-interprets sched.Slot structures instead of executing the
-	// decode-once micro-op form saved with each VLIW Cache line
-	// (DESIGN.md §11). Behaviourally identical; kept for conformance
-	// sweeps (lowered-vs-interpreted lock-step) and debugging.
-	InterpretedEngine bool
-
 	// NoChain disables direct block chaining (DESIGN.md §16): block
 	// transitions in VLIW mode fall back to the legacy one-long-
 	// instruction-per-dispatch loop with an associative VLIW Cache lookup

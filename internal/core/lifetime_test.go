@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -8,6 +9,9 @@ import (
 
 	"dtsvliw/internal/arch"
 	"dtsvliw/internal/asm"
+	"dtsvliw/internal/blockcheck"
+	"dtsvliw/internal/isa"
+	"dtsvliw/internal/mem"
 	"dtsvliw/internal/progen"
 	"dtsvliw/internal/sched"
 	"dtsvliw/internal/workloads"
@@ -205,5 +209,46 @@ func TestPooledWorkloadSteadyStateAllocs(t *testing.T) {
 		m1.Mallocs-m0.Mallocs, retired, perInstr)
 	if perInstr >= 0.01 {
 		t.Fatalf("second pooled run allocates %.4f times per instruction, want < 0.01", perInstr)
+	}
+}
+
+// TestSaveRefusesUnlowerableBlock: a block with no lowered form breaks a
+// scheduler invariant, so saveBlock refuses it with a typed error — it is
+// never cached for execution — and under VerifyBlocks the legality report
+// names the missing lowered form.
+func TestSaveRefusesUnlowerableBlock(t *testing.T) {
+	bad := func() *sched.Block {
+		s := &sched.Slot{Inst: isa.Inst{Op: isa.OpLDSTUB, Rd: 2, Rs1: 6, UseImm: true},
+			Addr: 0x1000, IsMem: true, MemSize: 1}
+		li := make([]*sched.Slot, 8)
+		li[0] = s
+		return &sched.Block{Tag: 0x1000, LIs: [][]*sched.Slot{li}, NumLIs: 1, ValidOps: 1,
+			NBA: sched.LongAddr{Addr: 0x1004}}
+	}
+	for _, verify := range []bool{false, true} {
+		cfg := IdealConfig(8, 8)
+		cfg.VerifyBlocks = verify
+		m, err := NewMachine(cfg, arch.NewState(cfg.NWin, mem.NewMemory()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.saveBlock(bad())
+		if verify {
+			var ve *BlockVerifyError
+			if !errors.As(err, &ve) || !ve.Report.Has(blockcheck.KindLowered) {
+				t.Fatalf("VerifyBlocks: want a BlockVerifyError naming the lowered form, got %v", err)
+			}
+		} else {
+			var le *LowerError
+			if !errors.As(err, &le) || le.Tag != 0x1000 {
+				t.Fatalf("want *LowerError for block 0x1000, got %v", err)
+			}
+		}
+		if m.Stats.BlocksSaved != 0 {
+			t.Fatalf("refused block counted as saved")
+		}
+		if _, ok := m.vc.Probe(0x1000, 0); ok {
+			t.Fatalf("refused block reached the VLIW Cache")
+		}
 	}
 }

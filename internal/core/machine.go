@@ -266,13 +266,27 @@ func (e *BlockVerifyError) Error() string {
 	return fmt.Sprintf("core: block failed legality verification: %s", e.Report)
 }
 
+// LowerError reports a block the Scheduler Unit emitted that has no
+// lowered form: a non-schedulable operation reached the block, or a slot
+// names a renaming register the block did not allocate. Either is a
+// broken scheduler invariant, so the block is refused rather than cached.
+type LowerError struct {
+	Tag      uint32
+	EntryCWP uint8
+}
+
+func (e *LowerError) Error() string {
+	return fmt.Sprintf("core: block %#08x (cwp %d) has no lowered form: scheduler invariant broken", e.Tag, e.EntryCWP)
+}
+
 // saveBlock sends a finished block to the VLIW Cache, modelling the
 // one-long-instruction-per-cycle drain (paper §3.2): a new flush issued
 // while the previous block is still draining stalls the Primary
-// Processor. Unless the interpreted engine is forced, the block is
-// lowered once here — the software analogue of storing decoded
-// instructions in the cache line (paper §3.4). Under VerifyBlocks the
-// block must pass static legality verification before it is cached.
+// Processor. The block is lowered once here — the software analogue of
+// storing decoded instructions in the cache line (paper §3.4) — and a
+// block that does not lower is refused with a *LowerError. Under
+// VerifyBlocks the block must pass static legality verification before
+// it is cached.
 func (m *Machine) saveBlock(b *sched.Block) error {
 	if b == nil {
 		return nil
@@ -282,15 +296,15 @@ func (m *Machine) saveBlock(b *sched.Block) error {
 		m.addCycles(m.drain, false)
 	}
 	m.drain = b.NumLIs
-	var low *vliw.LoweredBlock
-	if !m.cfg.InterpretedEngine {
-		low = m.lowPool.Lower(b, m.cfg.NWin)
-	}
+	low := m.lowPool.Lower(b, m.cfg.NWin)
 	if m.cfg.VerifyBlocks {
 		if rep := blockcheck.Verify(b, low, m.sch.Config()); !rep.Ok() {
 			return &BlockVerifyError{Report: rep}
 		}
 		m.Stats.BlocksVerified++
+	}
+	if low == nil {
+		return &LowerError{Tag: b.Tag, EntryCWP: b.EntryCWP}
 	}
 	m.retire(m.vc.Save(b, low))
 	m.Stats.BlocksSaved++
@@ -351,8 +365,7 @@ func (m *Machine) pin(b *sched.Block) {
 	}
 }
 
-// beginBlock enters a VLIW Cache entry on the engine, preferring the
-// lowered form when the line carries one.
+// beginBlock enters a VLIW Cache entry on the engine.
 func (m *Machine) beginBlock(ent vcache.Entry) {
 	m.pin(ent.Blk)
 	if m.tel != nil {
@@ -362,11 +375,7 @@ func (m *Machine) beginBlock(ent vcache.Entry) {
 			m.tel.EnterBlock(ent.Blk.Tag, ent.Blk.NumLIs)
 		}
 	}
-	if ent.Low != nil {
-		m.eng.BeginLowered(ent.Low)
-	} else {
-		m.eng.BeginBlock(ent.Blk)
-	}
+	m.eng.BeginLowered(ent.Low)
 }
 
 // Run executes until the program halts, MaxInstrs sequential instructions

@@ -85,13 +85,12 @@ func TestTelemetryHandoverOrdering(t *testing.T) {
 // TestTelemetryCycleReconciliation checks the acceptance criterion: the
 // per-block cycle totals reconcile with Stats.VLIWCycles exactly, with
 // zero orphan cycles, across configurations (feasible and ideal
-// machines, both engine paths, exit prediction) and workloads.
+// machines, exit prediction) and workloads.
 func TestTelemetryCycleReconciliation(t *testing.T) {
 	configs := map[string]Config{
-		"ideal-8x8":   IdealConfig(8, 8),
-		"feasible":    FeasibleConfig(),
-		"interpreted": func() Config { c := IdealConfig(8, 8); c.InterpretedEngine = true; return c }(),
-		"exit-pred":   func() Config { c := IdealConfig(8, 8); c.ExitPrediction = true; return c }(),
+		"ideal-8x8": IdealConfig(8, 8),
+		"feasible":  FeasibleConfig(),
+		"exit-pred": func() Config { c := IdealConfig(8, 8); c.ExitPrediction = true; return c }(),
 	}
 	for name, cfg := range configs {
 		cfg := cfg

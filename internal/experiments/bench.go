@@ -122,7 +122,6 @@ func BenchSched(o Options) (*BenchReport, error) {
 	}
 	for _, w := range workloads.All() {
 		for _, mc := range benchMachineConfigs() {
-			mc.cfg.InterpretedEngine = o.InterpretedEngine
 			mc.cfg.NoChain = o.NoChain
 			var m *core.Machine
 			var elapsed time.Duration
@@ -307,7 +306,6 @@ func BenchTelemetryOverhead(o Options) ([]BenchDelta, error) {
 	var out []BenchDelta
 	for _, w := range workloads.All() {
 		for _, mc := range benchMachineConfigs() {
-			mc.cfg.InterpretedEngine = o.InterpretedEngine
 			mc.cfg.NoChain = o.NoChain
 			var ns, al [2]float64 // index 0 = telemetry off, 1 = on
 			for rep := 0; rep < benchMachineReps; rep++ {
@@ -359,7 +357,6 @@ func BenchMetricsOverhead(o Options) ([]BenchDelta, error) {
 	var out []BenchDelta
 	for _, w := range workloads.All() {
 		for _, mc := range benchMachineConfigs() {
-			mc.cfg.InterpretedEngine = o.InterpretedEngine
 			mc.cfg.NoChain = o.NoChain
 			var ns, al [2]float64 // index 0 = metrics off, 1 = on
 			// The expected overhead (a delta flush every 2^14 cycles) is far

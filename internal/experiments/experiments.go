@@ -32,10 +32,6 @@ type Options struct {
 	// CPU, 1 runs serially. Output is identical either way (see
 	// parallel.go).
 	Workers int
-	// InterpretedEngine disables lowered blocks in the benchmark matrix's
-	// machine rows, giving the on-runner baseline the perf gate compares
-	// the lowered engine against (scripts/bench.sh, CI bench-smoke).
-	InterpretedEngine bool
 	// NoChain disables direct block chaining in the benchmark matrix's
 	// machine rows, giving the on-runner baseline the chaining perf gate
 	// compares chained dispatch against (CI bench-smoke).

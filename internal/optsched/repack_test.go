@@ -12,6 +12,7 @@ import (
 	"dtsvliw/internal/oracle"
 	"dtsvliw/internal/progen"
 	"dtsvliw/internal/sched"
+	"dtsvliw/internal/vliw"
 )
 
 // harvest runs src under cfg with the FCFS strategy and captures every
@@ -117,7 +118,7 @@ func TestRepackNeverTallerAndLegal(t *testing.T) {
 					if b.NumLIs < orig {
 						improved++
 					}
-					if rep := blockcheck.Verify(b, nil, scfg); !rep.Ok() {
+					if rep := blockcheck.Verify(b, vliw.Lower(b, scfg.NWin), scfg); !rep.Ok() {
 						t.Fatalf("repacked block fails verification:\n%s\n%s", rep, b.Dump())
 					}
 					if err := exitComplete(b); err != nil {
@@ -149,7 +150,7 @@ func TestRepackTightBudgets(t *testing.T) {
 			if res.Proven && res.Nodes > uint64(budget) {
 				t.Fatalf("budget %d: claimed proven after %d nodes", budget, res.Nodes)
 			}
-			if rep := blockcheck.Verify(b, nil, scfg); !rep.Ok() {
+			if rep := blockcheck.Verify(b, vliw.Lower(b, scfg.NWin), scfg); !rep.Ok() {
 				t.Fatalf("budget %d left an illegal block:\n%s", budget, rep)
 			}
 			if err := exitComplete(b); err != nil {

@@ -36,10 +36,10 @@ type NamedConfig struct {
 // rotates through: the paper's ideal geometries, the feasible machine,
 // and one variant per orthogonal mechanism (multicycle latencies, the
 // §3.11 data-store-list scheme, next-long-instruction prediction, the
-// no-source-forwarding ablation, the interpreted engine, unchained block
-// dispatch, and a two-line direct-mapped VLIW Cache that replaces a line
-// on nearly every save, exercising block recycling under chaining and
-// aliasing invalidation).
+// no-source-forwarding ablation, unchained block dispatch, and a
+// two-line direct-mapped VLIW Cache that replaces a line on nearly every
+// save, exercising block recycling under chaining and aliasing
+// invalidation).
 func DefaultConfigs() []NamedConfig {
 	multi := core.IdealConfig(8, 8)
 	multi.LoadLatency, multi.FPLatency, multi.FPDivLatency = 2, 2, 8
@@ -52,9 +52,6 @@ func DefaultConfigs() []NamedConfig {
 
 	nofwd := core.IdealConfig(8, 8)
 	nofwd.NoSourceForwarding = true
-
-	interp := core.IdealConfig(8, 8)
-	interp.InterpretedEngine = true
 
 	nochain := core.IdealConfig(8, 8)
 	nochain.NoChain = true
@@ -72,7 +69,6 @@ func DefaultConfigs() []NamedConfig {
 		{"storelist", storelist},
 		{"exitpred", exitpred},
 		{"nofwd", nofwd},
-		{"interpreted", interp},
 		{"nochain", nochain},
 		{"vc1k-dm", evict},
 	}
@@ -138,7 +134,6 @@ type Failure struct {
 	Seed       int64
 	Shape      progen.Shape
 	ConfigName string
-	Engines    bool   // found by the lowered-vs-interpreted engines mode
 	Source     string // shrunk program (re-runnable assembly)
 	OrigLines  int    // lines before shrinking
 	Lines      int    // lines after shrinking
@@ -158,12 +153,8 @@ func (f *Failure) Render() string {
 	if f.Err != nil {
 		fmt.Fprintf(&b, "error: %v\n", f.Err)
 	}
-	mode := ""
-	if f.Engines {
-		mode = " -engines"
-	}
-	fmt.Fprintf(&b, "replay: dtsvliw-oracle%s -replay %d -shapes %s -configs %s\n",
-		mode, f.Seed, f.Shape, f.ConfigName)
+	fmt.Fprintf(&b, "replay: dtsvliw-oracle -replay %d -shapes %s -configs %s\n",
+		f.Seed, f.Shape, f.ConfigName)
 	b.WriteString("---- reproducer ----\n")
 	b.WriteString(strings.TrimRight(f.Source, "\n"))
 	b.WriteString("\n---- end reproducer ----")
@@ -188,10 +179,6 @@ type SweepOptions struct {
 	Configs     []NamedConfig
 	MaxFail     int // stop after this many failures
 	ShrinkEvals int // differential runs each shrink may spend
-	// EngineDiff switches the runner from machine-vs-sequential-reference
-	// (RunDiff) to lowered-vs-interpreted engine lock-step
-	// (RunDiffEngines).
-	EngineDiff bool
 	// VerifyBlocks additionally runs the block-legality verifier
 	// (internal/blockcheck) on every block the machine saves: the run
 	// fails if the scheduler ever emits a block that cannot be statically
@@ -260,18 +247,11 @@ func newSweepRunner(o SweepOptions, shapes []progen.Shape, configs []NamedConfig
 		r.reg = sm.reg
 		r.wp = sm.workerPrograms.With(workerLabel(worker))
 	}
-	switch {
-	case o.NoReuse && o.EngineDiff:
-		r.diffRun = runDiffEnginesProgram
-	case o.NoReuse:
+	if o.NoReuse {
 		r.diffRun = runDiffProgram
-	default:
+	} else {
 		r.sc = NewSweepContext()
-		if o.EngineDiff {
-			r.diffRun = r.sc.runDiffEnginesProgram
-		} else {
-			r.diffRun = r.sc.runDiffProgram
-		}
+		r.diffRun = r.sc.runDiffProgram
 	}
 	return r
 }
@@ -306,15 +286,14 @@ func (r *sweepRunner) runCase(i int) caseResult {
 		// engine diverge from nothing in particular: reject it before any
 		// engine runs it, and report the generator bug as its own failure.
 		return caseResult{failure: &Failure{Seed: seed, Shape: shape, ConfigName: nc.Name,
-			Engines: r.o.EngineDiff, Source: src, OrigLines: countLines(src),
-			Lines: countLines(src), Err: err}}
+			Source: src, OrigLines: countLines(src), Lines: countLines(src), Err: err}}
 	}
 
 	res, err := r.diffRun(p, nc.Cfg)
 	if err == nil {
 		return caseResult{instret: res.Instret, cycles: res.Cycles}
 	}
-	f := &Failure{Seed: seed, Shape: shape, ConfigName: nc.Name, Engines: r.o.EngineDiff,
+	f := &Failure{Seed: seed, Shape: shape, ConfigName: nc.Name,
 		Source: src, OrigLines: countLines(src), Lines: countLines(src)}
 	var d *Divergence
 	if errors.As(err, &d) {
@@ -495,8 +474,8 @@ func ShrinkDivergence(src string, cfg core.Config, evals int) (string, *Divergen
 }
 
 // shrinkWith is ShrinkDivergence parameterised over the differential
-// runner, so the lowered-vs-interpreted engines mode shrinks with the
-// same runner that found the failure.
+// runner, so a sweep shrinks with the same (pooled or fresh) runner that
+// found the failure.
 func shrinkWith(src string, cfg core.Config, evals int, run func(string, core.Config) (*Result, error)) (string, *Divergence) {
 	diverges := func(budget uint64) func(string) bool {
 		c := cfg

@@ -127,33 +127,32 @@ func TestGoldenFCFSBlocks(t *testing.T) {
 		}
 	}
 
+	compareGolden(t, goldenPath, got, "block stream diverged from the pre-refactor scheduler")
+}
+
+// compareGolden records got to path under -update; otherwise every key
+// must carry exactly its recorded digest, with none missing or extra.
+// what describes a mismatch.
+func compareGolden(t *testing.T, path string, got map[string]string, what string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		keys := make([]string, 0, len(got))
-		for k := range got { //determinism:allow sorted below
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		ordered := make(map[string]string, len(got))
-		for _, k := range keys {
-			ordered[k] = got[k]
-		}
-		data, err := json.MarshalIndent(ordered, "", "  ")
+		data, err := json.MarshalIndent(got, "", "  ") // map keys marshal sorted
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("recorded %d fingerprints to %s", len(got), goldenPath)
+		t.Logf("recorded %d digests to %s", len(got), path)
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("golden fingerprints missing (run with -update to record): %v", err)
+		t.Fatalf("golden digests missing (run with -update to record): %v", err)
 	}
 	want := map[string]string{}
 	if err := json.Unmarshal(data, &want); err != nil {
@@ -169,11 +168,11 @@ func TestGoldenFCFSBlocks(t *testing.T) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		if want[k] == "" {
-			t.Errorf("%s: no recorded fingerprint (run -update after an intentional change)", k)
+			t.Errorf("%s: no recorded digest (run -update after an intentional change)", k)
 			continue
 		}
 		if got[k] != want[k] {
-			t.Errorf("%s: block stream diverged from the pre-refactor scheduler\n  got  %s\n  want %s", k, got[k], want[k])
+			t.Errorf("%s: %s\n  got  %s\n  want %s", k, what, got[k], want[k])
 		}
 	}
 }

@@ -9,21 +9,20 @@ import (
 
 // SweepContext owns the warm simulation state one sweep worker reuses
 // across differential runs: a machine pool keyed by configuration, one
-// reference-interpreter state per window count, a reusable Ref wrapper
-// and the engines-mode checkpoint buffer. Reusing contexts removes the
-// dominant cost of short differential runs — building the VLIW Cache
-// line array, scheduler tables and page maps per program — without
-// changing a single observable result: every reset path restores exact
+// reference-interpreter state per window count and a reusable Ref
+// wrapper. Reusing contexts removes the dominant cost of short
+// differential runs — building the VLIW Cache line array, scheduler
+// tables and page maps per program — without changing a single
+// observable result: every reset path restores exact
 // post-construction semantics (DESIGN.md §15).
 //
 // A SweepContext is NOT safe for concurrent use. Parallel sweeps keep
 // one per worker, which also keeps them deterministic: a context's reuse
 // history never depends on sibling workers.
 type SweepContext struct {
-	pool  *core.MachinePool
-	refs  map[int]*arch.State // reference states, keyed by window count
-	ref   Ref
-	ckpts []ckpt // engines-mode checkpoint trace buffer
+	pool *core.MachinePool
+	refs map[int]*arch.State // reference states, keyed by window count
+	ref  Ref
 }
 
 // NewSweepContext builds an empty context; it warms up as it runs.
@@ -77,14 +76,4 @@ func (sc *SweepContext) runDiffProgram(p *asm.Program, cfg core.Config) (*Result
 		return nil, &ProgramError{Stage: "machine", Err: err}
 	}
 	return runDiffOn(m, &sc.ref)
-}
-
-// RunDiffEngines is RunDiffEngines on borrowed pooled state (one context
-// per engine variant, since the engine selection is part of the pool key).
-func (sc *SweepContext) RunDiffEngines(source string, cfg core.Config) (*Result, error) {
-	return programRunner(sc.runDiffEnginesProgram).onSource(source, cfg)
-}
-
-func (sc *SweepContext) runDiffEnginesProgram(p *asm.Program, cfg core.Config) (*Result, error) {
-	return runDiffEngines(p, cfg, sc)
 }

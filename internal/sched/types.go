@@ -167,8 +167,8 @@ func (s *Slot) Writes() []isa.Loc { return s.writes }
 // renaming register instead of the architectural location (source
 // forwarding, paper Figure 2: the rescheduled consumer of a split
 // instruction's result reads the renaming register directly). It is the
-// single definition of source-operand matching shared by the interpreted
-// VLIW Engine and block lowering.
+// single definition of source-operand matching, shared by block lowering
+// and the block-legality verifier.
 func (s *Slot) SrcRenameTarget(l isa.Loc) (RenameReg, bool) {
 	for _, p := range s.SrcRenames {
 		if p.Loc == l {
@@ -182,8 +182,7 @@ func (s *Slot) SrcRenameTarget(l isa.Loc) (RenameReg, bool) {
 // redirected to a renaming register by a split (paper §3.7). Register
 // locations match on their physical index; a memory renaming register
 // captures every memory write of the slot regardless of the runtime
-// address. Like SrcRenameTarget, it is shared by the interpreted engine
-// and block lowering so both apply identical matching rules.
+// address. Block lowering resolves every destination through it.
 func (s *Slot) RenameTarget(l isa.Loc) (RenameReg, bool) {
 	for _, p := range s.Renames {
 		if p.Loc.Kind == l.Kind && (l.Kind != isa.LocIReg && l.Kind != isa.LocFReg || p.Loc.Idx == l.Idx) {

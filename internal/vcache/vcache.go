@@ -130,12 +130,13 @@ type line struct {
 	inRefs []int32
 }
 
-// Entry is one cache line's payload: the scheduled block and, when the
-// machine runs the lowered engine path, its decode-once lowered form
-// (the software analogue of the paper's decoded-instruction line, §3.4).
-// Low is nil when lowering was disabled or fell back. Prof is the
-// block's telemetry profile, resolved once at save time so the
-// per-entry hook needs no map lookup; nil when telemetry is off.
+// Entry is one cache line's payload: the scheduled block and its
+// decode-once lowered form, the form the VLIW Engine executes (the
+// software analogue of the paper's decoded-instruction line, §3.4). The
+// machine saves only blocks that lower, so Low is never nil in its cache;
+// the cache itself treats it as an opaque payload. Prof is the block's
+// telemetry profile, resolved once at save time so the per-entry hook
+// needs no map lookup; nil when telemetry is off.
 type Entry struct {
 	Blk  *sched.Block
 	Low  *vliw.LoweredBlock

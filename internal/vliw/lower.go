@@ -11,9 +11,9 @@ import (
 // Every operand is pre-resolved to a handle — an architectural register
 // index or a flattened renaming-register number — so the engine's hot loop
 // dispatches on a dense op code and never re-walks sched.Slot rename
-// lists. Lowering is best-effort: Lower returns nil for any block it
-// cannot represent and the engine falls back to the interpreted path for
-// that block.
+// lists. The lowered form is the only form the engine executes: every
+// block the Scheduler Unit emits lowers, and a block that does not is a
+// broken scheduler invariant the VLIW Cache refuses at save time.
 
 // Operand handles. A handle ≥ 0 is an architectural index into the file
 // the operand position implies (integer registers are physical,
@@ -54,7 +54,7 @@ type lcopy struct {
 
 // lop is one lowered slot. Operand meaning depends on op; the handle
 // assignment mirrors isa.Exec's env-call order so the buffered effects
-// are emitted identically to the interpreted path.
+// are emitted in the order the Primary Processor performs them.
 type lop struct {
 	op     isa.Op
 	isCopy bool
@@ -173,7 +173,7 @@ type lowerer struct {
 
 func (lo *lowerer) flatOf(r sched.RenameReg) int32 {
 	if int(r.Idx) >= int(lo.b.Renames[r.Class]) {
-		lo.fail = true // unallocated register; interpreted path reports it
+		lo.fail = true // unallocated register: the block does not lower
 		return 0
 	}
 	return int32(lo.base[r.Class] + int(r.Idx))
@@ -181,10 +181,11 @@ func (lo *lowerer) flatOf(r sched.RenameReg) int32 {
 
 func (lo *lowerer) renH(r sched.RenameReg) int32 { return ^lo.flatOf(r) }
 
-// Lower translates block b into its flat micro-op form. It returns nil
-// when the block contains a construct lowering does not represent (the
-// engine then interprets the block); the scheduler never emits those for
-// schedulable traces, so nil is a defensive fallback, not a normal path.
+// Lower translates block b into its flat micro-op form. Every block the
+// Scheduler Unit emits is representable; a nil result means a scheduler
+// invariant was broken — a non-schedulable operation reached the block,
+// or a slot names a renaming register the block did not allocate — and
+// the caller must reject the block rather than execute it.
 func Lower(b *sched.Block, nwin int) *LoweredBlock {
 	lb := &LoweredBlock{}
 	if !lb.lower(b, nwin) {
@@ -268,7 +269,7 @@ func (lb *LoweredBlock) lower(b *sched.Block, nwin int) bool {
 
 // lowerBranch pre-resolves a conditional or indirect branch for phase-1
 // evaluation. Branch operands read pre-LI state through source forwarding
-// but never the multicycle bypass, exactly as resolveBranch does.
+// but never the multicycle bypass.
 func (lo *lowerer) lowerBranch(s *sched.Slot) lbr {
 	br := lbr{
 		tag: s.Tag, cond: s.Inst.Cond, addr: s.Addr, seq: s.Seq,
@@ -298,7 +299,7 @@ func (lo *lowerer) lowerBranch(s *sched.Slot) lbr {
 
 // rh resolves an integer source register (window-resolved, then source
 // forwarding). Physical register 0 reads as architectural zero even when
-// a rename pair nominally covers it, matching slotEnv.ReadReg.
+// a rename pair nominally covers it.
 func (lo *lowerer) rh(s *sched.Slot, r uint8) int32 {
 	p := isa.PhysReg(s.CWP, r, lo.nwin)
 	if p == 0 {
@@ -356,8 +357,8 @@ func (lo *lowerer) wlh(s *sched.Slot, k isa.LocKind) int32 {
 	return 0
 }
 
-// lowerSlot translates one slot. ok is false for constructs lowering does
-// not represent (non-schedulable ops; they never reach blocks).
+// lowerSlot translates one slot. ok is false for non-schedulable
+// operations, which never legitimately reach blocks.
 func (lo *lowerer) lowerSlot(s *sched.Slot) (lop, bool) {
 	op := lop{
 		tag: s.Tag, lat: uint8(s.LatOr1()), addr: s.Addr,

@@ -7,17 +7,15 @@ import (
 	"dtsvliw/internal/isa"
 )
 
-// Lowered-block execution: the decode-once twin of ExecLI. The phases are
-// identical — branch resolution in tag order, slot execution into the
-// scratch arenas, aliasing detection, commit — but every operand is a
-// pre-resolved handle and dispatch is a dense switch on isa.Op, so the
-// hot loop performs no rename-list walks, no interface calls and no
-// allocation.
+// Lowered-block execution. Each long instruction runs in phases — branch
+// resolution in tag order, slot execution into the scratch arenas,
+// aliasing detection, commit — with every operand a pre-resolved handle
+// and dispatch a dense switch on isa.Op, so the hot loop performs no
+// rename-list walks, no interface calls and no allocation.
 
 // Handle accessors. A handle ≥ 0 addresses the architectural file the
 // operand position implies; < 0 is ^flat into the epoch-stamped rename
-// arena. Reads never use the multicycle bypass (only copies do),
-// matching slotEnv.
+// arena. Reads never use the multicycle bypass (only copies do).
 
 func (e *Engine) lrdReg(h int32) uint32 {
 	if h >= 0 {
@@ -110,11 +108,26 @@ func (e *Engine) lemitD(op *lop, v float64, due int) {
 	e.lemitF(op.d1, uint32(bits), due)
 }
 
-// execLoweredLIInto is ExecLIInto over the lowered form of the current
-// block; *res has already been reset by the caller.
-func (e *Engine) execLoweredLIInto(line int, res *Result) {
+// ExecLI executes long instruction line of the current block. All operand
+// reads observe the state before the long instruction; writes commit at
+// its end, gated by branch tags. On an exception, the block has already
+// been rolled back to its entry checkpoint when ExecLI returns.
+//
+// Result.MemAddrs and Result.Stores alias engine-owned scratch arenas and
+// are valid only until the next ExecLI call.
+func (e *Engine) ExecLI(line int) Result {
+	var res Result
+	e.ExecLIInto(line, &res)
+	return res
+}
+
+// ExecLIInto is ExecLI writing its result into *res, which is reset
+// first. A chained dispatch loop reuses one Result across an entire run
+// of blocks instead of copying the struct out per long instruction.
+func (e *Engine) ExecLIInto(line int, res *Result) {
+	*res = Result{}
 	lb := e.lb
-	if line < 0 || line >= len(lb.lines) {
+	if lb == nil || line < 0 || line >= len(lb.lines) {
 		res.Exception = true
 		res.Err = fmt.Errorf("vliw: no long instruction %d", line)
 		return
@@ -122,7 +135,9 @@ func (e *Engine) execLoweredLIInto(line int, res *Result) {
 	ll := &lb.lines[line]
 	e.Stats.LIsExecuted++
 
-	// Phase 1: resolve branches in tag order against pre-LI state.
+	// Phase 1: resolve conditional and indirect branches in tag order
+	// (their operands are pre-LI state, so resolution is order-free; the
+	// tag order decides which deviation wins, paper §3.8).
 	tagLimit := int(^uint(0) >> 1)
 	var exitPC uint32
 	var exitSeq uint64
@@ -135,8 +150,10 @@ func (e *Engine) execLoweredLIInto(line int, res *Result) {
 		}
 		taken, target := e.resolveLoweredBranch(br)
 		if taken == br.brTaken && (!taken || target == br.brTarget) {
-			continue
+			continue // followed the recorded trace
 		}
+		// Deviation: instructions tagged after this branch are annulled
+		// and execution continues at the actual next PC.
 		var next uint32
 		if taken {
 			next = target
@@ -152,7 +169,9 @@ func (e *Engine) execLoweredLIInto(line int, res *Result) {
 		}
 	}
 
-	// Phase 2: execute valid slots into the scratch arenas.
+	// Phase 2: execute valid slots, buffering writes into the scratch
+	// arenas. Each write carries the long-instruction index at which its
+	// producer's latency lands.
 	e.resetScratch()
 	committed, annulled := 0, 0
 	for i := range ll.ops {
@@ -223,13 +242,16 @@ func (e *Engine) execLoweredLIInto(line int, res *Result) {
 		e.Stats.TraceExits++
 		res.TraceExit = true
 		res.NextPC = exitPC
-		res.ExitAdvance = exitSeq - e.block.FirstSeq + 1
+		res.ExitAdvance = exitSeq - lb.b.FirstSeq + 1
 		res.ExitBranch = exitBranch
 	}
 	return
 }
 
-// resolveLoweredBranch is resolveBranch over pre-resolved handles.
+// resolveLoweredBranch evaluates a conditional or indirect branch against
+// the pre-LI state (reading source-forwarded renaming registers where the
+// Scheduler Unit rewrote the operands) and returns its actual direction
+// and target.
 func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 	switch br.kind {
 	case lbrICC:
@@ -246,7 +268,12 @@ func (e *Engine) resolveLoweredBranch(br *lbr) (taken bool, target uint32) {
 	return true, t
 }
 
-// execLoweredCopy is execCopy over the flat rename arena.
+// execLoweredCopy commits a copy instruction: each renaming register's
+// value is written to its architectural location; memory renaming
+// registers release their buffered stores. A deferred exception held in a
+// renaming register surfaces here (paper §3.8). Results accumulate in the
+// per-LI scratch arenas with a due line of the current long instruction
+// (copies always complete in one cycle).
 func (e *Engine) execLoweredCopy(op *lop, line int) error {
 	cps := e.lb.copiesOf(op)
 	for i := range cps {
@@ -287,7 +314,7 @@ func (e *Engine) execLoweredCopy(op *lop, line int) error {
 
 // execLoweredOp executes one lowered slot, buffering its effects with the
 // given due line. Effect order within a slot matches isa.Exec's env-call
-// order exactly.
+// order, so the buffered writes land as the Primary Processor's would.
 func (e *Engine) execLoweredOp(op *lop, due int) error {
 	switch op.op {
 	case isa.OpSETHI:
@@ -498,8 +525,8 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 // computation, alignment check, then loads through loadMem (honouring the
 // data-store-list overlay) or buffered micro-stores routed either to the
 // pending-store arena or, for split stores, to the memory renaming
-// register. On any error nothing has been emitted (matching isa.Exec,
-// whose memory errors all precede the first write).
+// register. On any error nothing has been emitted (as in isa.Exec, whose
+// memory errors all precede the first write).
 func (e *Engine) execLoweredMem(op *lop, due int) error {
 	ea := e.lrdReg(op.a) + e.lop2(op)
 	size := op.memSize

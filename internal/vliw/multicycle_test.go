@@ -24,7 +24,7 @@ func TestDelayedCommit(t *testing.T) {
 	nop1 := slot(isa.Inst{Op: isa.OpOR, Rd: 5, Rs1: 0, UseImm: true, Imm: 1}, 0x1004, 1)
 	nop2 := slot(isa.Inst{Op: isa.OpOR, Rd: 6, Rs1: 0, UseImm: true, Imm: 2}, 0x1008, 2)
 	b := block(0x1000, []*sched.Slot{prod}, []*sched.Slot{nop1}, []*sched.Slot{nop2})
-	e.BeginBlock(b)
+	begin(t, e, b)
 	e.ExecLI(0)
 	if st.ReadReg(2) != 0 {
 		t.Fatal("3-cycle result visible after LI 0")
@@ -47,7 +47,7 @@ func TestFlushPendingStall(t *testing.T) {
 	e := New(st)
 	prod := latSlot(isa.Inst{Op: isa.OpADD, Rd: 2, Rs1: 1, UseImm: true, Imm: 1}, 0x1000, 0, 4)
 	b := block(0x1000, []*sched.Slot{prod})
-	e.BeginBlock(b)
+	begin(t, e, b)
 	e.ExecLI(0)
 	if st.ReadReg(2) != 0 {
 		t.Fatal("committed early")
@@ -77,7 +77,7 @@ func TestCopyBypassesLatencyShadow(t *testing.T) {
 		Copies: []sched.RenamePair{{Loc: isa.IReg(2), Reg: ren}}}
 	// The copy executes one LI after the producer — inside the 3-cycle
 	// shadow.
-	e.BeginBlock(block(0x1000, []*sched.Slot{prod}, []*sched.Slot{cp}))
+	begin(t, e, block(0x1000, []*sched.Slot{prod}, []*sched.Slot{cp}))
 	e.ExecLI(0)
 	if res := e.ExecLI(1); res.Exception {
 		t.Fatal(res.Err)
@@ -102,7 +102,7 @@ func TestTieCommitYoungerWins(t *testing.T) {
 	old := latSlot(isa.Inst{Op: isa.OpADD, Rd: 2, Rs1: 1, UseImm: true, Imm: 1}, 0x1000, 0, 2)
 	// Younger: single-cycle writer of r2 in LI 1 (commits at end of LI 1).
 	young := slot(isa.Inst{Op: isa.OpOR, Rd: 2, Rs1: 0, UseImm: true, Imm: 7}, 0x1004, 1)
-	e.BeginBlock(block(0x1000, []*sched.Slot{old}, []*sched.Slot{young}))
+	begin(t, e, block(0x1000, []*sched.Slot{old}, []*sched.Slot{young}))
 	e.ExecLI(0)
 	if st.ReadReg(2) != 0 {
 		t.Fatal("2-cycle result visible after LI 0")
@@ -123,7 +123,7 @@ func TestRecoveryDiscardsPending(t *testing.T) {
 	prod := latSlot(isa.Inst{Op: isa.OpADD, Rd: 2, Rs1: 1, UseImm: true, Imm: 5}, 0x1000, 0, 4)
 	bad := slot(isa.Inst{Op: isa.OpLD, Rd: 4, Rs1: 3, UseImm: true}, 0x1004, 1)
 	bad.IsMem, bad.MemSize = true, 4
-	e.BeginBlock(block(0x1000, []*sched.Slot{prod}, []*sched.Slot{bad}))
+	begin(t, e, block(0x1000, []*sched.Slot{prod}, []*sched.Slot{bad}))
 	e.ExecLI(0)
 	res := e.ExecLI(1)
 	if !res.Exception {

@@ -105,7 +105,7 @@ func (e *Engine) EndBlock() ([]arch.StoreRec, error) {
 }
 
 // SetScheme selects the store-recoverability scheme. Must be called
-// before BeginBlock.
+// before BeginLowered.
 func (e *Engine) SetScheme(s StoreScheme) {
 	e.scheme = s
 	if s == SchemeStoreList && e.overlay == nil {

@@ -32,6 +32,17 @@ func block(tag uint32, lis ...[]*sched.Slot) *sched.Block {
 	return b
 }
 
+// begin enters block b on e in its lowered form, the only form the
+// engine executes.
+func begin(t *testing.T, e *Engine, b *sched.Block) {
+	t.Helper()
+	lb := Lower(b, e.nwin)
+	if lb == nil {
+		t.Fatalf("block %#x does not lower", b.Tag)
+	}
+	e.BeginLowered(lb)
+}
+
 // TestPlainExecution: independent ALU ops in one long instruction commit
 // together.
 func TestPlainExecution(t *testing.T) {
@@ -43,7 +54,7 @@ func TestPlainExecution(t *testing.T) {
 		slot(isa.Inst{Op: isa.OpADD, Rd: 3, Rs1: 1, Rs2: 2}, 0x1000, 0), // g3 = g1+g2
 		slot(isa.Inst{Op: isa.OpSUB, Rd: 4, Rs1: 2, Rs2: 1}, 0x1004, 1), // g4 = g2-g1
 	}
-	e.BeginBlock(block(0x1000, li))
+	begin(t, e, block(0x1000, li))
 	res := e.ExecLI(0)
 	if res.Exception || res.TraceExit {
 		t.Fatalf("unexpected result %+v", res)
@@ -66,7 +77,7 @@ func TestReadBeforeWrite(t *testing.T) {
 		slot(isa.Inst{Op: isa.OpADD, Rd: 2, Rs1: 1, UseImm: true, Imm: 1}, 0x1000, 0), // reads g1
 		slot(isa.Inst{Op: isa.OpOR, Rd: 1, Rs1: 0, UseImm: true, Imm: 9}, 0x1004, 1),  // writes g1
 	}
-	e.BeginBlock(block(0x1000, li))
+	begin(t, e, block(0x1000, li))
 	e.ExecLI(0)
 	if st.ReadReg(2) != 101 {
 		t.Fatalf("reader saw the same-LI write: g2=%d", st.ReadReg(2))
@@ -86,7 +97,7 @@ func TestTagAnnulment(t *testing.T) {
 	br.BrTarget = 0x1010
 	gated := slot(isa.Inst{Op: isa.OpOR, Rd: 5, Rs1: 0, UseImm: true, Imm: 1}, 0x1010, 1)
 	gated.Tag = 1
-	e.BeginBlock(block(0x1000, []*sched.Slot{br, gated}))
+	begin(t, e, block(0x1000, []*sched.Slot{br, gated}))
 	res := e.ExecLI(0)
 	if !res.TraceExit {
 		t.Fatal("expected trace exit")
@@ -113,7 +124,7 @@ func TestBranchFollowsTrace(t *testing.T) {
 	br := slot(isa.Inst{Op: isa.OpBICC, Cond: isa.CondE, Imm: 4}, 0x1000, 0)
 	br.BrTaken = true
 	br.BrTarget = 0x1010
-	e.BeginBlock(block(0x1000, []*sched.Slot{br}))
+	begin(t, e, block(0x1000, []*sched.Slot{br}))
 	if res := e.ExecLI(0); res.TraceExit {
 		t.Fatal("trace exit on matching branch")
 	}
@@ -130,7 +141,7 @@ func TestSplitAndCopy(t *testing.T) {
 	prod.Renames = []sched.RenamePair{{Loc: isa.IReg(2), Reg: ren}}
 	cp := &sched.Slot{IsCopy: true, Addr: 0x1000, Seq: 0,
 		Copies: []sched.RenamePair{{Loc: isa.IReg(2), Reg: ren}}}
-	e.BeginBlock(block(0x1000, []*sched.Slot{prod}, []*sched.Slot{cp}))
+	begin(t, e, block(0x1000, []*sched.Slot{prod}, []*sched.Slot{cp}))
 	e.ExecLI(0)
 	if st.ReadReg(2) != 0 {
 		t.Fatal("producer wrote architecturally before the copy")
@@ -155,7 +166,7 @@ func TestSourceForwarding(t *testing.T) {
 	prod.Renames = []sched.RenamePair{{Loc: isa.IReg(2), Reg: ren}}
 	cons := slot(isa.Inst{Op: isa.OpADD, Rd: 3, Rs1: 2, UseImm: true, Imm: 100}, 0x1004, 1)
 	cons.SrcRenames = []sched.RenamePair{{Loc: isa.IReg(2), Reg: ren}}
-	e.BeginBlock(block(0x1000, []*sched.Slot{prod}, []*sched.Slot{cons}))
+	begin(t, e, block(0x1000, []*sched.Slot{prod}, []*sched.Slot{cons}))
 	e.ExecLI(0)
 	e.ExecLI(1)
 	if st.ReadReg(3) != 115 {
@@ -181,7 +192,7 @@ func TestDeferredException(t *testing.T) {
 	clobber := slot(isa.Inst{Op: isa.OpOR, Rd: 5, Rs1: 0, UseImm: true, Imm: 1}, 0x1004, 1)
 	cp := &sched.Slot{IsCopy: true, Addr: 0x1000, Seq: 0,
 		Copies: []sched.RenamePair{{Loc: isa.IReg(2), Reg: ren}}}
-	e.BeginBlock(block(0x1000, []*sched.Slot{ld}, []*sched.Slot{clobber}, []*sched.Slot{cp}))
+	begin(t, e, block(0x1000, []*sched.Slot{ld}, []*sched.Slot{clobber}, []*sched.Slot{cp}))
 
 	if res := e.ExecLI(0); res.Exception {
 		t.Fatal("speculative fault must be deferred")
@@ -220,7 +231,7 @@ func TestStoreRollback(t *testing.T) {
 	store.IsMem, store.IsStore, store.MemAddr, store.MemSize = true, true, 0x40010, 4
 	bad := slot(isa.Inst{Op: isa.OpLD, Rd: 4, Rs1: 3, UseImm: true}, 0x1004, 1)
 	bad.IsMem, bad.MemSize = true, 4
-	e.BeginBlock(block(0x1000, []*sched.Slot{store}, []*sched.Slot{bad}))
+	begin(t, e, block(0x1000, []*sched.Slot{store}, []*sched.Slot{bad}))
 
 	if res := e.ExecLI(0); res.Exception {
 		t.Fatal(res.Err)
@@ -250,7 +261,7 @@ func TestAliasingStoreAfterYoungerLoad(t *testing.T) {
 	// Older store (order 1) executes later, same address.
 	store := slot(isa.Inst{Op: isa.OpST, Rd: 2, Rs1: 1, UseImm: true}, 0x1000, 0)
 	store.IsMem, store.IsStore, store.MemAddr, store.MemSize, store.Order = true, true, 0x40020, 4, 1
-	e.BeginBlock(block(0x1000, []*sched.Slot{ld}, []*sched.Slot{store}))
+	begin(t, e, block(0x1000, []*sched.Slot{ld}, []*sched.Slot{store}))
 
 	if res := e.ExecLI(0); res.Exception {
 		t.Fatal(res.Err)
@@ -281,7 +292,7 @@ func TestAliasingLoadAfterYoungerStore(t *testing.T) {
 	// Older load (order 1) executes later.
 	ld := slot(isa.Inst{Op: isa.OpLD, Rd: 3, Rs1: 1, UseImm: true}, 0x1000, 0)
 	ld.IsMem, ld.MemSize, ld.Order = true, 4, 1
-	e.BeginBlock(block(0x1000, []*sched.Slot{store}, []*sched.Slot{ld}))
+	begin(t, e, block(0x1000, []*sched.Slot{store}, []*sched.Slot{ld}))
 
 	if res := e.ExecLI(0); res.Exception {
 		t.Fatal(res.Err)
@@ -304,7 +315,7 @@ func TestNoFalseAliasing(t *testing.T) {
 		true, true, 0x40040, 4, 1, true
 	ld := slot(isa.Inst{Op: isa.OpLD, Rd: 3, Rs1: 2, UseImm: true}, 0x1004, 1)
 	ld.IsMem, ld.MemSize, ld.Order, ld.Cross = true, 4, 2, true
-	e.BeginBlock(block(0x1000, []*sched.Slot{store}, []*sched.Slot{ld}))
+	begin(t, e, block(0x1000, []*sched.Slot{store}, []*sched.Slot{ld}))
 	if res := e.ExecLI(0); res.Exception {
 		t.Fatal(res.Err)
 	}
@@ -330,7 +341,7 @@ func TestMemoryCopyCommitsBufferedStore(t *testing.T) {
 	prod.Renames = []sched.RenamePair{{Loc: isa.MemLoc(0x40050, 4), Reg: ren}}
 	cp := &sched.Slot{IsCopy: true, Addr: 0x1000, Seq: 0, IsMem: true, MemSize: 4,
 		Copies: []sched.RenamePair{{Loc: isa.MemLoc(0x40050, 4), Reg: ren}}}
-	e.BeginBlock(block(0x1000, []*sched.Slot{prod}, []*sched.Slot{cp}))
+	begin(t, e, block(0x1000, []*sched.Slot{prod}, []*sched.Slot{cp}))
 
 	e.ExecLI(0)
 	if v, _ := st.Mem.ReadWord(0x40050); v != 0 {
@@ -353,7 +364,7 @@ func TestJmplDeviation(t *testing.T) {
 	ret := slot(isa.Inst{Op: isa.OpJMPL, Rd: 0, Rs1: 15, UseImm: true, Imm: 8}, 0x1000, 0)
 	ret.BrTaken = true
 	ret.BrTarget = 0x3008 // recorded from a different call site
-	e.BeginBlock(block(0x1000, []*sched.Slot{ret}))
+	begin(t, e, block(0x1000, []*sched.Slot{ret}))
 	res := e.ExecLI(0)
 	if !res.TraceExit || res.NextPC != 0x2008 {
 		t.Fatalf("jmpl deviation: %+v", res)
