@@ -23,6 +23,7 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -43,17 +44,24 @@ type Program struct {
 	Symbols  map[string]uint32
 	TextBase uint32
 	TextSize uint32
-	// PCLine maps each emitted instruction address to the 1-based source
-	// line it was assembled from. Pseudo-instructions that expand to
-	// several words (set, ...) map every word to the same line. Static
-	// checkers (internal/progcheck) use it to report diagnostics against
-	// the assembly source and to honour line-scoped waiver comments.
-	PCLine map[uint32]int
+	// lines holds, per text word, the 1-based source line of the
+	// instruction assembled there (0 for data and padding); see LineOf.
+	lines []int32
 }
 
 // LineOf returns the source line the instruction at addr was assembled
-// from, or 0 if addr holds no emitted instruction (data, padding).
-func (p *Program) LineOf(addr uint32) int { return p.PCLine[addr] }
+// from, or 0 if addr is not a text word holding an emitted instruction
+// (data, padding, other sections). Pseudo-instructions that expand to
+// several words (set) map every word to the same line. Static checkers
+// (internal/progcheck) use it to report diagnostics against the
+// assembly source and to honour line-scoped waiver comments.
+func (p *Program) LineOf(addr uint32) int {
+	off := addr - p.TextBase
+	if off%4 != 0 || off/4 >= uint32(len(p.lines)) {
+		return 0
+	}
+	return int(p.lines[off/4])
+}
 
 // Load copies the program into memory and returns nothing; pages are
 // mapped as needed.
@@ -71,31 +79,80 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg) }
 
+// The assembler lexes each source line exactly once, on pass 1, into a
+// stmt record; both passes then execute the records. Executing evaluates
+// the expression operands against the symbol table, lays out the image
+// and encodes instructions, so a forward reference reads 0 on pass 1
+// (which only has to get every size and label right) and resolves on
+// pass 2, which fills the image. Errors come in two-pass order: every
+// line's lexing and pass-1 evaluation, in source order, before any
+// pass-2 evaluation.
 type assembler struct {
-	lines   []string
-	symbols map[string]uint32
-	// emitted image per section name
-	sections map[string]*secState
-	cur      *secState
-	pass     int
-	entry    uint32
-	hasEntry bool
-	textBase uint32
-	textEnd  uint32
-	// ops is the operand-split scratch buffer, reused across lines so the
-	// two-pass assembly of a large source costs O(1) slice allocations
-	// instead of one per instruction (the dominant allocation site of
-	// whole-workload benchmark rows).
+	symbols    map[string]uint32
+	text, data secState
+	cur        *secState
+	pass       int
+
+	stmts    []stmt
+	labelBuf []string // label names, in source order
+	exprBuf  []string // expression operands and .ascii payloads, likewise
+	// ops is the operand-split scratch buffer, reused across lines.
 	ops []string
-	// pcLine records instruction address -> source line on pass 2.
-	pcLine map[uint32]int
+	// late is a structural error in an operand that follows the current
+	// line's expression operand (e.g. a bad load destination after the
+	// address). The dialect reports operand errors left to right, so
+	// exec reports it only once the expression has evaluated cleanly.
+	// Lexing sets it, so it only ever fails pass 1, on the line just
+	// lexed.
+	late error
+	// lines records, on pass 2, the source line of each text word.
+	lines []int32
 }
 
 type secState struct {
-	name  string
-	base  uint32
-	pc    uint32
-	bytes []byte
+	base, pc uint32
+	size     int    // bytes laid out this pass
+	bytes    []byte // the image, filled on pass 2 only
+}
+
+// stmtKind is what a source line carries once its labels are stripped.
+type stmtKind uint8
+
+const (
+	stmtNone   stmtKind = iota // labels only, or an ignored directive
+	stmtInst                   // one instruction: in, completed by imm
+	stmtSet                    // set: sethi+or into in.Rd
+	stmtText                   // .text [expr]
+	stmtData                   // .data [expr]
+	stmtOrg                    // .org expr
+	stmtAlign                  // .align expr
+	stmtSpace                  // .space/.skip expr
+	stmtValues                 // .word/.half/.byte expr, ... (width in size)
+	stmtASCII                  // .ascii payload
+	stmtASCIZ                  // .asciz payload
+)
+
+// immMode says how an instruction's expression operand completes it.
+type immMode uint8
+
+const (
+	immSimm13 immMode = iota // range-checked simm13 second operand
+	immRaw                   // Imm = value (inc/dec amount)
+	immDisp                  // Imm = word displacement from pc
+	immSethi                 // Imm = value's low 22 bits
+)
+
+// stmt is one lexed source line. Instructions carry at most one
+// expression operand; .word-style lists carry several. A record's
+// labels and expressions are the labelBuf and exprBuf entries after the
+// previous record's and up to its own labEnd and exprEnd.
+type stmt struct {
+	line            int32
+	kind            stmtKind
+	imm             immMode
+	size            uint8    // stmtValues width in bytes
+	in              isa.Inst // instruction template, registers resolved
+	labEnd, exprEnd int32
 }
 
 // Assemble assembles source into a Program. The default text origin is
@@ -103,40 +160,68 @@ type secState struct {
 // with .text/.data arguments. Entry defaults to the "start" or "main"
 // symbol, else the text base.
 func Assemble(source string) (*Program, error) {
+	nLines := strings.Count(source, "\n") + 1
+	nLabels := strings.Count(source, ":") // every label ends in one
 	a := &assembler{
-		lines:    strings.Split(source, "\n"),
-		symbols:  make(map[string]uint32),
-		sections: make(map[string]*secState),
-		pcLine:   make(map[uint32]int),
+		symbols:  make(map[string]uint32, nLabels),
+		text:     secState{base: 0x1000, pc: 0x1000},
+		data:     secState{base: 0x40000, pc: 0x40000},
+		stmts:    make([]stmt, 0, nLines),
+		labelBuf: make([]string, 0, nLabels),
+		exprBuf:  make([]string, 0, nLines),
+		ops:      make([]string, 0, 4),
 	}
-	a.sections["text"] = &secState{name: "text", base: 0x1000, pc: 0x1000}
-	a.sections["data"] = &secState{name: "data", base: 0x40000, pc: 0x40000}
 
-	for pass := 1; pass <= 2; pass++ {
-		a.pass = pass
-		for _, s := range a.sections {
-			s.pc = s.base
-			s.bytes = s.bytes[:0]
+	// Pass 1: lex every line once and lay it out.
+	a.pass = 1
+	a.cur = &a.text
+	rest := source
+	for lineNo := 1; ; lineNo++ {
+		line, tail, more := strings.Cut(rest, "\n")
+		l, e := len(a.labelBuf), len(a.exprBuf)
+		s, ok, err := a.lex(lineNo, line)
+		if err != nil {
+			return nil, err
 		}
-		a.cur = a.sections["text"]
-		for i, line := range a.lines {
-			if err := a.doLine(i+1, line); err != nil {
+		if ok {
+			a.stmts = append(a.stmts, s)
+			if err := a.exec(&s, a.labelBuf[l:], a.exprBuf[e:]); err != nil {
 				return nil, err
 			}
 		}
+		if !more {
+			break
+		}
+		rest = tail
 	}
 
-	p := &Program{Symbols: a.symbols, PCLine: a.pcLine}
-	for _, name := range []string{"text", "data"} {
-		s := a.sections[name]
+	// Pass 2: re-execute the records into images sized by pass 1.
+	a.pass = 2
+	a.lines = make([]int32, 0, (a.text.size+3)/4)
+	for _, sec := range []*secState{&a.text, &a.data} {
+		sec.pc = sec.base
+		sec.bytes = make([]byte, 0, sec.size)
+		sec.size = 0
+	}
+	a.cur = &a.text
+	l, e := int32(0), int32(0)
+	for i := range a.stmts {
+		s := &a.stmts[i]
+		if err := a.exec(s, a.labelBuf[l:s.labEnd], a.exprBuf[e:s.exprEnd]); err != nil {
+			return nil, err
+		}
+		l, e = s.labEnd, s.exprEnd
+	}
+
+	p := &Program{Symbols: a.symbols, lines: a.lines, Sections: make([]Section, 0, 2)}
+	for _, s := range []*secState{&a.text, &a.data} {
 		if len(s.bytes) > 0 {
-			p.Sections = append(p.Sections, Section{Addr: s.base, Bytes: append([]byte(nil), s.bytes...)})
+			p.Sections = append(p.Sections, Section{Addr: s.base, Bytes: s.bytes[:len(s.bytes):len(s.bytes)]})
 		}
 	}
-	text := a.sections["text"]
-	p.TextBase = text.base
-	p.TextSize = uint32(len(text.bytes))
-	p.Entry = text.base
+	p.TextBase = a.text.base
+	p.TextSize = uint32(len(a.text.bytes))
+	p.Entry = a.text.base
 	if v, ok := a.symbols["start"]; ok {
 		p.Entry = v
 	} else if v, ok := a.symbols["main"]; ok {
@@ -163,13 +248,19 @@ func (a *assembler) errf(line int, format string, args ...interface{}) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (a *assembler) doLine(lineNo int, raw string) error {
+// lex parses one source line into a statement record (ok is false for a
+// blank line). It reports the errors that do not depend on any operand's
+// value; exec reports the rest.
+func (a *assembler) lex(lineNo int, raw string) (s stmt, ok bool, err error) {
 	line := strings.TrimSpace(stripComment(raw))
 	if line == "" {
-		return nil
+		return s, false, nil
 	}
+	s.line = int32(lineNo)
+	a.late = nil
+	lab0 := len(a.labelBuf)
 	// Labels (possibly several) at line start.
-	for {
+	for line != "" {
 		i := strings.IndexByte(line, ':')
 		if i < 0 {
 			break
@@ -178,100 +269,78 @@ func (a *assembler) doLine(lineNo int, raw string) error {
 		if head == "" || strings.ContainsAny(head, " \t\"[],") {
 			break
 		}
-		if a.pass == 1 {
-			if _, dup := a.symbols[head]; dup {
-				return a.errf(lineNo, "duplicate label %q", head)
-			}
+		if _, dup := a.symbols[head]; dup || slices.Contains(a.labelBuf[lab0:], head) {
+			return s, false, a.errf(lineNo, "duplicate label %q", head)
 		}
-		a.symbols[head] = a.cur.pc
+		a.labelBuf = append(a.labelBuf, head)
 		line = strings.TrimSpace(line[i+1:])
-		if line == "" {
-			return nil
+	}
+	s.labEnd = int32(len(a.labelBuf))
+	if line != "" {
+		head, tail, _ := strings.Cut(line, " ")
+		mn := strings.ToLower(strings.TrimSpace(head))
+		rest := strings.TrimSpace(tail)
+		// Tab-separated mnemonics.
+		if i := strings.IndexByte(mn, '\t'); i >= 0 {
+			rest = strings.TrimSpace(mn[i+1:] + " " + rest)
+			mn = mn[:i]
+		}
+		if strings.HasPrefix(mn, ".") {
+			err = a.lexDirective(&s, lineNo, mn, rest)
+		} else {
+			err = a.lexInstruction(&s, lineNo, mn, rest)
 		}
 	}
-
-	head, tail, _ := strings.Cut(line, " ")
-	mn := strings.ToLower(strings.TrimSpace(head))
-	rest := strings.TrimSpace(tail)
-	// Tab-separated mnemonics.
-	if i := strings.IndexByte(mn, '\t'); i >= 0 {
-		rest = strings.TrimSpace(mn[i+1:] + " " + rest)
-		mn = mn[:i]
-	}
-
-	if strings.HasPrefix(mn, ".") {
-		return a.directive(lineNo, mn, rest)
-	}
-	return a.instruction(lineNo, mn, rest)
+	s.exprEnd = int32(len(a.exprBuf))
+	return s, true, err
 }
 
-func (a *assembler) directive(lineNo int, mn, rest string) error {
+// operand records e as the statement's next expression operand.
+func (a *assembler) operand(e string) { a.exprBuf = append(a.exprBuf, e) }
+
+func (a *assembler) lexDirective(s *stmt, lineNo int, mn, rest string) error {
 	switch mn {
 	case ".text", ".data":
-		name := mn[1:]
-		s := a.sections[name]
-		if rest != "" {
-			v, err := a.eval(lineNo, rest)
-			if err != nil {
-				return err
-			}
-			if len(s.bytes) == 0 {
-				s.base, s.pc = v, v
-			}
+		s.kind = stmtText
+		if mn == ".data" {
+			s.kind = stmtData
 		}
-		a.cur = s
+		if rest != "" {
+			a.operand(rest)
+		}
 		return nil
 	case ".org":
-		v, err := a.eval(lineNo, rest)
-		if err != nil {
-			return err
-		}
-		if v < a.cur.pc {
-			return a.errf(lineNo, ".org %#x before current pc %#x", v, a.cur.pc)
-		}
-		a.emitBytes(make([]byte, v-a.cur.pc))
+		s.kind = stmtOrg
+		a.operand(rest)
 		return nil
 	case ".align":
-		n, err := a.eval(lineNo, rest)
-		if err != nil {
-			return err
-		}
-		if n == 0 || n&(n-1) != 0 {
-			return a.errf(lineNo, ".align %d not a power of two", n)
-		}
-		pad := (n - a.cur.pc%n) % n
-		a.emitBytes(make([]byte, pad))
+		s.kind = stmtAlign
+		a.operand(rest)
+		return nil
+	case ".space", ".skip":
+		s.kind = stmtSpace
+		a.operand(rest)
 		return nil
 	case ".word", ".half", ".byte":
-		size := map[string]uint8{".word": 4, ".half": 2, ".byte": 1}[mn]
-		for _, part := range a.splitOps(rest) {
-			v, err := a.eval(lineNo, part)
-			if err != nil {
-				return err
-			}
-			b := make([]byte, size)
-			for i := uint8(0); i < size; i++ {
-				b[i] = byte(v >> (8 * uint32(size-1-i)))
-			}
-			a.emitBytes(b)
+		s.kind = stmtValues
+		s.size = 4
+		if mn == ".half" {
+			s.size = 2
+		} else if mn == ".byte" {
+			s.size = 1
 		}
+		a.exprBuf = append(a.exprBuf, a.splitOps(rest)...)
 		return nil
 	case ".ascii", ".asciz":
-		s, err := strconv.Unquote(rest)
+		str, err := strconv.Unquote(rest)
 		if err != nil {
 			return a.errf(lineNo, "bad string %s", rest)
 		}
-		a.emitBytes([]byte(s))
+		s.kind = stmtASCII
 		if mn == ".asciz" {
-			a.emitBytes([]byte{0})
+			s.kind = stmtASCIZ
 		}
-		return nil
-	case ".space", ".skip":
-		n, err := a.eval(lineNo, rest)
-		if err != nil {
-			return err
-		}
-		a.emitBytes(make([]byte, n))
+		a.operand(str)
 		return nil
 	case ".global", ".globl", ".type", ".size":
 		return nil // accepted, ignored
@@ -279,9 +348,140 @@ func (a *assembler) directive(lineNo int, mn, rest string) error {
 	return a.errf(lineNo, "unknown directive %s", mn)
 }
 
+// exec executes one statement record on the current pass: defines its
+// labels, evaluates its expression operands, and lays out (pass 2:
+// writes) its bytes.
+func (a *assembler) exec(s *stmt, labels, exprs []string) error {
+	for _, l := range labels {
+		a.symbols[l] = a.cur.pc
+	}
+	line := int(s.line)
+	switch s.kind {
+	case stmtInst:
+		in := s.in
+		if len(exprs) > 0 {
+			v, err := a.eval(line, exprs[0])
+			if err != nil {
+				return err
+			}
+			switch s.imm {
+			case immSimm13:
+				iv := int32(v)
+				if iv < -4096 || iv > 4095 {
+					return a.errf(line, "immediate %d out of simm13 range", iv)
+				}
+				in.UseImm = true
+				in.Imm = iv
+			case immRaw:
+				in.Imm = int32(v)
+			case immDisp:
+				in.Imm = int32(v-a.cur.pc) / 4
+			case immSethi:
+				in.Imm = int32(v & 0x3FFFFF)
+			}
+		}
+		if a.late != nil {
+			return a.late
+		}
+		return a.emit(line, in)
+	case stmtSet:
+		v, err := a.eval(line, exprs[0])
+		if err != nil {
+			return err
+		}
+		rd := s.in.Rd
+		if err := a.emit(line, isa.Inst{Op: isa.OpSETHI, Rd: rd, Imm: int32(v >> 10)}); err != nil {
+			return err
+		}
+		return a.emit(line, isa.Inst{Op: isa.OpOR, Rs1: rd, Rd: rd, UseImm: true, Imm: int32(v & 0x3FF)})
+	case stmtText, stmtData:
+		sec := &a.text
+		if s.kind == stmtData {
+			sec = &a.data
+		}
+		if len(exprs) > 0 {
+			v, err := a.eval(line, exprs[0])
+			if err != nil {
+				return err
+			}
+			if sec.size == 0 {
+				sec.base, sec.pc = v, v
+			}
+		}
+		a.cur = sec
+	case stmtOrg:
+		v, err := a.eval(line, exprs[0])
+		if err != nil {
+			return err
+		}
+		if v < a.cur.pc {
+			return a.errf(line, ".org %#x before current pc %#x", v, a.cur.pc)
+		}
+		a.emitZeros(v - a.cur.pc)
+	case stmtAlign:
+		n, err := a.eval(line, exprs[0])
+		if err != nil {
+			return err
+		}
+		if n == 0 || n&(n-1) != 0 {
+			return a.errf(line, ".align %d not a power of two", n)
+		}
+		a.emitZeros((n - a.cur.pc%n) % n)
+	case stmtSpace:
+		n, err := a.eval(line, exprs[0])
+		if err != nil {
+			return err
+		}
+		a.emitZeros(n)
+	case stmtValues:
+		for _, e := range exprs {
+			v, err := a.eval(line, e)
+			if err != nil {
+				return err
+			}
+			var b [4]byte
+			for i := uint8(0); i < s.size; i++ {
+				b[i] = byte(v >> (8 * uint32(s.size-1-i)))
+			}
+			a.emitBytes(b[:s.size])
+		}
+	case stmtASCII, stmtASCIZ:
+		a.emitString(exprs[0])
+		if s.kind == stmtASCIZ {
+			a.emitString("\x00")
+		}
+	}
+	return nil
+}
+
+// emitBytes lays out b at the current pc, writing it on pass 2.
 func (a *assembler) emitBytes(b []byte) {
-	a.cur.bytes = append(a.cur.bytes, b...)
+	if a.pass == 2 {
+		a.cur.bytes = append(a.cur.bytes, b...)
+	}
 	a.cur.pc += uint32(len(b))
+	a.cur.size += len(b)
+}
+
+// emitString is emitBytes for string data.
+func (a *assembler) emitString(b string) {
+	if a.pass == 2 {
+		a.cur.bytes = append(a.cur.bytes, b...)
+	}
+	a.cur.pc += uint32(len(b))
+	a.cur.size += len(b)
+}
+
+// emitZeros lays out n zero bytes at the current pc, writing them on
+// pass 2.
+func (a *assembler) emitZeros(n uint32) {
+	if a.pass == 2 {
+		old := len(a.cur.bytes)
+		a.cur.bytes = slices.Grow(a.cur.bytes, int(n))[:old+int(n)]
+		clear(a.cur.bytes[old:])
+	}
+	a.cur.pc += n
+	a.cur.size += int(n)
 }
 
 func (a *assembler) emit(lineNo int, in isa.Inst) error {
@@ -289,8 +489,14 @@ func (a *assembler) emit(lineNo int, in isa.Inst) error {
 	if err != nil {
 		return a.errf(lineNo, "%v", err)
 	}
-	if a.pass == 2 {
-		a.pcLine[a.cur.pc] = lineNo
+	if a.pass == 2 && a.cur == &a.text {
+		if off := a.cur.pc - a.cur.base; off%4 == 0 {
+			i := int(off / 4)
+			for len(a.lines) <= i {
+				a.lines = append(a.lines, 0)
+			}
+			a.lines[i] = int32(lineNo)
+		}
 	}
 	a.emitBytes([]byte{byte(w >> 24), byte(w >> 16), byte(w >> 8), byte(w)})
 	return nil
@@ -328,8 +534,7 @@ func splitOperandsInto(s string, out []string) []string {
 }
 
 // splitOps splits rest into a's scratch buffer. The returned slice is
-// valid until the next splitOps call; operand evaluation never re-splits,
-// so each line's use is complete before the buffer is reused.
+// valid until the next splitOps call; lexing a line splits it once.
 func (a *assembler) splitOps(rest string) []string {
 	a.ops = splitOperandsInto(rest, a.ops[:0])
 	return a.ops

@@ -6,22 +6,25 @@ import (
 	"dtsvliw/internal/isa"
 )
 
+// FuzzAssembleSeeds are the fuzz seed inputs; the assembler golden
+// (golden_test.go) pins their assembly too.
+var FuzzAssembleSeeds = []string{
+	"\t.text 0x1000\nstart:\n\tnop\n\tta 0\n",
+	"\tadd %g1, %g2, %g3\n",
+	"lbl:\tld [%l0+4], %o0\n\tba lbl\n",
+	"\t.data\nx:\t.word 1,2,3\n\t.ascii \"hi\"\n",
+	"\tset 0xDEADBEEF, %o0\n\tcmp %o0, 0\n",
+	"\t.align 8\n\t.space 12\n",
+	"\tfadds %f0, %f1, %f2\n\tfble start\n",
+	"bad",
+	"\t.word",
+	"a:a:a:",
+}
+
 // FuzzAssemble: the assembler must reject or accept arbitrary input
 // without panicking, and anything it accepts must decode cleanly.
 func FuzzAssemble(f *testing.F) {
-	seeds := []string{
-		"\t.text 0x1000\nstart:\n\tnop\n\tta 0\n",
-		"\tadd %g1, %g2, %g3\n",
-		"lbl:\tld [%l0+4], %o0\n\tba lbl\n",
-		"\t.data\nx:\t.word 1,2,3\n\t.ascii \"hi\"\n",
-		"\tset 0xDEADBEEF, %o0\n\tcmp %o0, 0\n",
-		"\t.align 8\n\t.space 12\n",
-		"\tfadds %f0, %f1, %f2\n\tfble start\n",
-		"bad",
-		"\t.word",
-		"a:a:a:",
-	}
-	for _, s := range seeds {
+	for _, s := range FuzzAssembleSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"dtsvliw/internal/isa"
 )
@@ -11,7 +12,11 @@ import (
 // parseReg parses an integer register name: %g0-7, %o0-7, %l0-7, %i0-7,
 // %r0-31, %sp, %fp.
 func parseReg(s string) (uint8, bool) {
-	s = strings.ToLower(strings.TrimSpace(s))
+	s = strings.TrimSpace(s)
+	if s == "" || s[0] != '%' {
+		return 0, false // not a register; skip lowering the operand
+	}
+	s = strings.ToLower(s)
 	switch s {
 	case "%sp":
 		return 14, true // %o6
@@ -51,7 +56,11 @@ func parseReg(s string) (uint8, bool) {
 }
 
 func parseFReg(s string) (uint8, bool) {
-	s = strings.ToLower(strings.TrimSpace(s))
+	s = strings.TrimSpace(s)
+	if s == "" || s[0] != '%' {
+		return 0, false
+	}
+	s = strings.ToLower(s)
 	if len(s) < 3 || !strings.HasPrefix(s, "%f") {
 		return 0, false
 	}
@@ -95,8 +104,7 @@ func (a *assembler) eval(lineNo int, expr string) (uint32, error) {
 				j++
 			}
 			// Allow %hi( / %lo( containing parens.
-			if strings.HasPrefix(strings.ToLower(expr[i:]), "%hi(") ||
-				strings.HasPrefix(strings.ToLower(expr[i:]), "%lo(") {
+			if hasLowerPrefix(expr[i:], "%hi(") || hasLowerPrefix(expr[i:], "%lo(") {
 				depth := 0
 				j = i
 				for j < len(expr) {
@@ -125,17 +133,38 @@ func (a *assembler) eval(lineNo int, expr string) (uint32, error) {
 	return total, nil
 }
 
+// hasLowerPrefix reports whether strings.ToLower(s) starts with the
+// lower-case ASCII prefix p, building no lowered copy unless the first
+// len(p) bytes of s are not all ASCII.
+func hasLowerPrefix(s, p string) bool {
+	for i := 0; i < len(p); i++ {
+		if i == len(s) {
+			return false
+		}
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return strings.HasPrefix(strings.ToLower(s), p)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != p[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func (a *assembler) term(lineNo int, t string) (uint32, error) {
 	t = strings.TrimSpace(t)
-	lt := strings.ToLower(t)
 	switch {
-	case strings.HasPrefix(lt, "%hi(") && strings.HasSuffix(t, ")"):
+	case hasLowerPrefix(t, "%hi(") && strings.HasSuffix(t, ")"):
 		v, err := a.eval(lineNo, t[4:len(t)-1])
 		if err != nil {
 			return 0, err
 		}
 		return v >> 10, nil
-	case strings.HasPrefix(lt, "%lo(") && strings.HasSuffix(t, ")"):
+	case hasLowerPrefix(t, "%lo(") && strings.HasSuffix(t, ")"):
 		v, err := a.eval(lineNo, t[4:len(t)-1])
 		if err != nil {
 			return 0, err
@@ -165,57 +194,48 @@ func (a *assembler) term(lineNo int, t string) (uint32, error) {
 	return 0, a.errf(lineNo, "undefined symbol %q", t)
 }
 
-// regOrImm parses operand 2 of a format-3 instruction.
-func (a *assembler) regOrImm(lineNo int, s string, in *isa.Inst) error {
-	if r, ok := parseReg(s); ok {
-		in.Rs2 = r
-		return nil
+// regOrImm lexes operand 2 of a format-3 instruction into s: a register,
+// or an expression exec evaluates as a range-checked simm13.
+func (a *assembler) regOrImm(s *stmt, op string) {
+	if r, ok := parseReg(op); ok {
+		s.in.Rs2 = r
+		return
 	}
-	v, err := a.eval(lineNo, s)
-	if err != nil {
-		return err
-	}
-	iv := int32(v)
-	if iv < -4096 || iv > 4095 {
-		return a.errf(lineNo, "immediate %d out of simm13 range", iv)
-	}
-	in.UseImm = true
-	in.Imm = iv
-	return nil
+	s.imm = immSimm13
+	a.operand(op)
 }
 
-// parseMem parses a memory operand "[reg]", "[reg+imm]", "[reg-imm]",
-// "[reg+reg]" or "[imm]".
-func (a *assembler) parseMem(lineNo int, s string, in *isa.Inst) error {
-	s = strings.TrimSpace(s)
-	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
-		return a.errf(lineNo, "expected memory operand, got %q", s)
+// parseMem lexes a memory operand "[reg]", "[reg+imm]", "[reg-imm]",
+// "[reg+reg]" or "[imm]" into s.
+func (a *assembler) parseMem(s *stmt, lineNo int, op string) error {
+	op = strings.TrimSpace(op)
+	if !strings.HasPrefix(op, "[") || !strings.HasSuffix(op, "]") {
+		return a.errf(lineNo, "expected memory operand, got %q", op)
 	}
-	body := strings.TrimSpace(s[1 : len(s)-1])
+	body := strings.TrimSpace(op[1 : len(op)-1])
 	// Try reg+reg / reg+imm / reg-imm.
 	if r1, rest, ok := leadingReg(body); ok {
-		in.Rs1 = r1
+		s.in.Rs1 = r1
 		rest = strings.TrimSpace(rest)
 		if rest == "" {
-			in.UseImm = true
-			in.Imm = 0
+			s.in.UseImm = true
+			s.in.Imm = 0
 			return nil
 		}
 		if rest[0] == '+' {
-			if r2, ok := parseReg(rest[1:]); ok {
-				in.Rs2 = r2
-				return nil
-			}
-			return a.regOrImm(lineNo, rest[1:], in)
+			a.regOrImm(s, rest[1:])
+			return nil
 		}
 		if rest[0] == '-' {
-			return a.regOrImm(lineNo, rest, in)
+			a.regOrImm(s, rest)
+			return nil
 		}
-		return a.errf(lineNo, "bad memory operand %q", s)
+		return a.errf(lineNo, "bad memory operand %q", op)
 	}
 	// Absolute: [imm] with %g0 base.
-	in.Rs1 = 0
-	return a.regOrImm(lineNo, body, in)
+	s.in.Rs1 = 0
+	a.regOrImm(s, body)
+	return nil
 }
 
 func leadingReg(s string) (uint8, string, bool) {
@@ -279,9 +299,13 @@ var fbranchConds = map[string]uint8{
 	"a": 8, "e": 9, "ue": 10, "ge": 11, "uge": 12, "le": 13, "ule": 14, "o": 15,
 }
 
-func (a *assembler) instruction(lineNo int, mn, rest string) error {
+// lexInstruction lexes an instruction (or pseudo-instruction) into s,
+// resolving its mnemonic and registers. Operand-count and register
+// errors are reported here; the one operand expression is left for exec.
+func (a *assembler) lexInstruction(s *stmt, lineNo int, mn, rest string) error {
 	ops := a.splitOps(rest)
 	nOps := len(ops)
+	s.kind = stmtInst
 
 	need := func(n int) error {
 		if nOps != n {
@@ -289,11 +313,18 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		}
 		return nil
 	}
+	// expr records the instruction's expression operand and how it
+	// completes the instruction.
+	expr := func(e string, mode immMode) {
+		s.imm = mode
+		a.operand(e)
+	}
 
 	// Pseudo-instructions first.
 	switch mn {
 	case "nop":
-		return a.emit(lineNo, isa.Inst{Op: isa.OpSETHI, Rd: 0, Imm: 0})
+		s.in = isa.Inst{Op: isa.OpSETHI, Rd: 0, Imm: 0}
+		return nil
 	case "mov":
 		if err := need(2); err != nil {
 			return err
@@ -302,11 +333,9 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "mov: bad destination %q", ops[1])
 		}
-		in := isa.Inst{Op: isa.OpOR, Rs1: 0, Rd: rd}
-		if err := a.regOrImm(lineNo, ops[0], &in); err != nil {
-			return err
-		}
-		return a.emit(lineNo, in)
+		s.in = isa.Inst{Op: isa.OpOR, Rs1: 0, Rd: rd}
+		a.regOrImm(s, ops[0])
+		return nil
 	case "set":
 		if err := need(2); err != nil {
 			return err
@@ -315,14 +344,10 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "set: bad destination %q", ops[1])
 		}
-		v, err := a.eval(lineNo, ops[0])
-		if err != nil {
-			return err
-		}
-		if err := a.emit(lineNo, isa.Inst{Op: isa.OpSETHI, Rd: rd, Imm: int32(v >> 10)}); err != nil {
-			return err
-		}
-		return a.emit(lineNo, isa.Inst{Op: isa.OpOR, Rs1: rd, Rd: rd, UseImm: true, Imm: int32(v & 0x3FF)})
+		s.kind = stmtSet
+		s.in.Rd = rd
+		a.operand(ops[0])
+		return nil
 	case "cmp":
 		if err := need(2); err != nil {
 			return err
@@ -331,11 +356,9 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "cmp: bad register %q", ops[0])
 		}
-		in := isa.Inst{Op: isa.OpSUBCC, Rs1: rs1, Rd: 0}
-		if err := a.regOrImm(lineNo, ops[1], &in); err != nil {
-			return err
-		}
-		return a.emit(lineNo, in)
+		s.in = isa.Inst{Op: isa.OpSUBCC, Rs1: rs1, Rd: 0}
+		a.regOrImm(s, ops[1])
+		return nil
 	case "tst":
 		if err := need(1); err != nil {
 			return err
@@ -344,7 +367,8 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "tst: bad register %q", ops[0])
 		}
-		return a.emit(lineNo, isa.Inst{Op: isa.OpORCC, Rs1: rs1, Rs2: 0, Rd: 0})
+		s.in = isa.Inst{Op: isa.OpORCC, Rs1: rs1, Rs2: 0, Rd: 0}
+		return nil
 	case "clr":
 		if err := need(1); err != nil {
 			return err
@@ -353,32 +377,32 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "clr: bad register %q", ops[0])
 		}
-		return a.emit(lineNo, isa.Inst{Op: isa.OpOR, Rs1: 0, Rs2: 0, Rd: rd})
+		s.in = isa.Inst{Op: isa.OpOR, Rs1: 0, Rs2: 0, Rd: rd}
+		return nil
 	case "inc", "dec":
 		op := isa.OpADD
 		if mn == "dec" {
 			op = isa.OpSUB
 		}
-		amt := int32(1)
 		var rd uint8
 		var ok bool
 		switch nOps {
 		case 1:
 			rd, ok = parseReg(ops[0])
-		case 2:
-			v, err := a.eval(lineNo, ops[0])
-			if err != nil {
-				return err
+			if !ok {
+				return a.errf(lineNo, "%s: bad register", mn)
 			}
-			amt = int32(v)
+		case 2:
+			expr(ops[0], immRaw)
 			rd, ok = parseReg(ops[1])
+			if !ok {
+				a.late = a.errf(lineNo, "%s: bad register", mn)
+			}
 		default:
 			return need(1)
 		}
-		if !ok {
-			return a.errf(lineNo, "%s: bad register", mn)
-		}
-		return a.emit(lineNo, isa.Inst{Op: op, Rs1: rd, Rd: rd, UseImm: true, Imm: amt})
+		s.in = isa.Inst{Op: op, Rs1: rd, Rd: rd, UseImm: true, Imm: 1}
+		return nil
 	case "neg":
 		if err := need(1); err != nil {
 			return err
@@ -387,7 +411,8 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "neg: bad register")
 		}
-		return a.emit(lineNo, isa.Inst{Op: isa.OpSUB, Rs1: 0, Rs2: rd, Rd: rd})
+		s.in = isa.Inst{Op: isa.OpSUB, Rs1: 0, Rs2: rd, Rd: rd}
+		return nil
 	case "not":
 		if err := need(1); err != nil {
 			return err
@@ -396,29 +421,30 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "not: bad register")
 		}
-		return a.emit(lineNo, isa.Inst{Op: isa.OpXNOR, Rs1: rd, Rs2: 0, Rd: rd})
+		s.in = isa.Inst{Op: isa.OpXNOR, Rs1: rd, Rs2: 0, Rd: rd}
+		return nil
 	case "ret":
-		return a.emit(lineNo, isa.Inst{Op: isa.OpJMPL, Rs1: 31, UseImm: true, Imm: 8, Rd: 0})
+		s.in = isa.Inst{Op: isa.OpJMPL, Rs1: 31, UseImm: true, Imm: 8, Rd: 0}
+		return nil
 	case "retl":
-		return a.emit(lineNo, isa.Inst{Op: isa.OpJMPL, Rs1: 15, UseImm: true, Imm: 8, Rd: 0})
+		s.in = isa.Inst{Op: isa.OpJMPL, Rs1: 15, UseImm: true, Imm: 8, Rd: 0}
+		return nil
 	case "jmp":
 		if err := need(1); err != nil {
 			return err
 		}
-		in := isa.Inst{Op: isa.OpJMPL, Rd: 0}
+		s.in = isa.Inst{Op: isa.OpJMPL, Rd: 0}
 		if r1, rest2, ok := leadingReg(ops[0]); ok {
-			in.Rs1 = r1
+			s.in.Rs1 = r1
 			rest2 = strings.TrimSpace(rest2)
 			if rest2 == "" {
-				in.UseImm, in.Imm = true, 0
+				s.in.UseImm, s.in.Imm = true, 0
 			} else if rest2[0] == '+' {
-				if err := a.regOrImm(lineNo, rest2[1:], &in); err != nil {
-					return err
-				}
+				a.regOrImm(s, rest2[1:])
 			} else {
 				return a.errf(lineNo, "jmp: bad operand %q", ops[0])
 			}
-			return a.emit(lineNo, in)
+			return nil
 		}
 		return a.errf(lineNo, "jmp: bad operand %q", ops[0])
 	case "rd":
@@ -432,7 +458,8 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "rd: bad destination")
 		}
-		return a.emit(lineNo, isa.Inst{Op: isa.OpRDY, Rd: rd})
+		s.in = isa.Inst{Op: isa.OpRDY, Rd: rd}
+		return nil
 	case "wr":
 		// wr rs1, reg_or_imm, %y
 		if err := need(3); err != nil {
@@ -445,23 +472,19 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "wr: bad source")
 		}
-		in := isa.Inst{Op: isa.OpWRY, Rs1: rs1}
-		if err := a.regOrImm(lineNo, ops[1], &in); err != nil {
-			return err
-		}
-		return a.emit(lineNo, in)
+		s.in = isa.Inst{Op: isa.OpWRY, Rs1: rs1}
+		a.regOrImm(s, ops[1])
+		return nil
 	case "call":
 		if err := need(1); err != nil {
 			return err
 		}
-		v, err := a.eval(lineNo, ops[0])
-		if err != nil {
-			return err
-		}
-		disp := int32(v-a.cur.pc) / 4
-		return a.emit(lineNo, isa.Inst{Op: isa.OpCALL, Imm: disp})
+		s.in = isa.Inst{Op: isa.OpCALL}
+		expr(ops[0], immDisp)
+		return nil
 	case "unimp":
-		return a.emit(lineNo, isa.Inst{Op: isa.OpUNIMP})
+		s.in = isa.Inst{Op: isa.OpUNIMP}
+		return nil
 	}
 
 	// Conditional traps: ta, te, tne, ...
@@ -470,11 +493,9 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 			if err := need(1); err != nil {
 				return err
 			}
-			in := isa.Inst{Op: isa.OpTICC, Cond: cond}
-			if err := a.regOrImm(lineNo, ops[0], &in); err != nil {
-				return err
-			}
-			return a.emit(lineNo, in)
+			s.in = isa.Inst{Op: isa.OpTICC, Cond: cond}
+			a.regOrImm(s, ops[0])
+			return nil
 		}
 	}
 
@@ -493,12 +514,9 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 			if err := need(1); err != nil {
 				return err
 			}
-			v, err := a.eval(lineNo, ops[0])
-			if err != nil {
-				return err
-			}
-			disp := int32(v-a.cur.pc) / 4
-			return a.emit(lineNo, isa.Inst{Op: isa.OpFBFCC, Cond: cond, Annul: annul, Imm: disp})
+			s.in = isa.Inst{Op: isa.OpFBFCC, Cond: cond, Annul: annul}
+			expr(ops[0], immDisp)
+			return nil
 		}
 	}
 	if strings.HasPrefix(base, "b") {
@@ -506,12 +524,9 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 			if err := need(1); err != nil {
 				return err
 			}
-			v, err := a.eval(lineNo, ops[0])
-			if err != nil {
-				return err
-			}
-			disp := int32(v-a.cur.pc) / 4
-			return a.emit(lineNo, isa.Inst{Op: isa.OpBICC, Cond: cond, Annul: annul, Imm: disp})
+			s.in = isa.Inst{Op: isa.OpBICC, Cond: cond, Annul: annul}
+			expr(ops[0], immDisp)
+			return nil
 		}
 	}
 
@@ -520,15 +535,13 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if err := need(2); err != nil {
 			return err
 		}
-		v, err := a.eval(lineNo, ops[0])
-		if err != nil {
-			return err
-		}
+		expr(ops[0], immSethi)
 		rd, ok := parseReg(ops[1])
 		if !ok {
-			return a.errf(lineNo, "sethi: bad destination %q", ops[1])
+			a.late = a.errf(lineNo, "sethi: bad destination %q", ops[1])
 		}
-		return a.emit(lineNo, isa.Inst{Op: isa.OpSETHI, Rd: rd, Imm: int32(v & 0x3FFFFF)})
+		s.in = isa.Inst{Op: isa.OpSETHI, Rd: rd}
+		return nil
 	}
 
 	// Loads.
@@ -536,16 +549,16 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if err := need(2); err != nil {
 			return err
 		}
-		in := isa.Inst{Op: op}
-		if err := a.parseMem(lineNo, ops[0], &in); err != nil {
+		s.in = isa.Inst{Op: op}
+		if err := a.parseMem(s, lineNo, ops[0]); err != nil {
 			return err
 		}
 		rd, ok := parseReg(ops[1])
 		if !ok {
-			return a.errf(lineNo, "%s: bad destination %q", mn, ops[1])
+			a.late = a.errf(lineNo, "%s: bad destination %q", mn, ops[1])
 		}
-		in.Rd = rd
-		return a.emit(lineNo, in)
+		s.in.Rd = rd
+		return nil
 	}
 	// Stores.
 	if op, ok := storeOps[mn]; ok {
@@ -556,11 +569,8 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "%s: bad source %q", mn, ops[0])
 		}
-		in := isa.Inst{Op: op, Rd: rd}
-		if err := a.parseMem(lineNo, ops[1], &in); err != nil {
-			return err
-		}
-		return a.emit(lineNo, in)
+		s.in = isa.Inst{Op: op, Rd: rd}
+		return a.parseMem(s, lineNo, ops[1])
 	}
 	// FP memory.
 	switch mn {
@@ -572,16 +582,16 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if mn == "lddf" {
 			op = isa.OpLDDF
 		}
-		in := isa.Inst{Op: op}
-		if err := a.parseMem(lineNo, ops[0], &in); err != nil {
+		s.in = isa.Inst{Op: op}
+		if err := a.parseMem(s, lineNo, ops[0]); err != nil {
 			return err
 		}
 		fr, ok := parseFReg(ops[1])
 		if !ok {
-			return a.errf(lineNo, "%s: bad fp destination %q", mn, ops[1])
+			a.late = a.errf(lineNo, "%s: bad fp destination %q", mn, ops[1])
 		}
-		in.Rd = fr
-		return a.emit(lineNo, in)
+		s.in.Rd = fr
+		return nil
 	case "stf", "stdf":
 		if err := need(2); err != nil {
 			return err
@@ -594,11 +604,8 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok {
 			return a.errf(lineNo, "%s: bad fp source %q", mn, ops[0])
 		}
-		in := isa.Inst{Op: op, Rd: fr}
-		if err := a.parseMem(lineNo, ops[1], &in); err != nil {
-			return err
-		}
-		return a.emit(lineNo, in)
+		s.in = isa.Inst{Op: op, Rd: fr}
+		return a.parseMem(s, lineNo, ops[1])
 	}
 	// FP three-operand.
 	if op, ok := fpOps3[mn]; ok {
@@ -611,7 +618,8 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok1 || !ok2 || !ok3 {
 			return a.errf(lineNo, "%s: bad fp operands", mn)
 		}
-		return a.emit(lineNo, isa.Inst{Op: op, Rs1: r1, Rs2: r2, Rd: rd})
+		s.in = isa.Inst{Op: op, Rs1: r1, Rs2: r2, Rd: rd}
+		return nil
 	}
 	// FP two-operand.
 	if op, ok := fpOps2[mn]; ok {
@@ -623,7 +631,8 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok1 || !ok2 {
 			return a.errf(lineNo, "%s: bad fp operands", mn)
 		}
-		return a.emit(lineNo, isa.Inst{Op: op, Rs2: r2, Rd: rd})
+		s.in = isa.Inst{Op: op, Rs2: r2, Rd: rd}
+		return nil
 	}
 	// FP compare.
 	if mn == "fcmps" || mn == "fcmpd" {
@@ -639,49 +648,47 @@ func (a *assembler) instruction(lineNo int, mn, rest string) error {
 		if !ok1 || !ok2 {
 			return a.errf(lineNo, "%s: bad fp operands", mn)
 		}
-		return a.emit(lineNo, isa.Inst{Op: op, Rs1: r1, Rs2: r2})
+		s.in = isa.Inst{Op: op, Rs1: r1, Rs2: r2}
+		return nil
 	}
 
 	// Generic three-operand ALU (plus save/restore/jmpl).
 	if op, ok := aluOps[mn]; ok {
 		switch {
 		case nOps == 0 && (mn == "restore" || mn == "save"):
-			return a.emit(lineNo, isa.Inst{Op: op, Rs1: 0, Rs2: 0, Rd: 0})
+			s.in = isa.Inst{Op: op, Rs1: 0, Rs2: 0, Rd: 0}
+			return nil
 		case nOps == 3:
 			rs1, ok1 := parseReg(ops[0])
 			rd, ok3 := parseReg(ops[2])
 			if !ok1 || !ok3 {
 				return a.errf(lineNo, "%s: bad register operands (%q)", mn, rest)
 			}
-			in := isa.Inst{Op: op, Rs1: rs1, Rd: rd}
-			if err := a.regOrImm(lineNo, ops[1], &in); err != nil {
-				return err
-			}
-			return a.emit(lineNo, in)
+			s.in = isa.Inst{Op: op, Rs1: rs1, Rd: rd}
+			a.regOrImm(s, ops[1])
+			return nil
 		case nOps == 2 && mn == "jmpl":
 			// jmpl %r+imm, rd
-			in := isa.Inst{Op: isa.OpJMPL}
+			s.in = isa.Inst{Op: isa.OpJMPL}
 			r1, rest2, ok := leadingReg(ops[0])
 			if !ok {
 				return a.errf(lineNo, "jmpl: bad operand %q", ops[0])
 			}
-			in.Rs1 = r1
+			s.in.Rs1 = r1
 			rest2 = strings.TrimSpace(rest2)
 			if rest2 == "" {
-				in.UseImm, in.Imm = true, 0
+				s.in.UseImm, s.in.Imm = true, 0
 			} else if rest2[0] == '+' {
-				if err := a.regOrImm(lineNo, rest2[1:], &in); err != nil {
-					return err
-				}
-			} else if err := a.regOrImm(lineNo, rest2, &in); err != nil {
-				return err
+				a.regOrImm(s, rest2[1:])
+			} else {
+				a.regOrImm(s, rest2)
 			}
 			rd, ok := parseReg(ops[1])
 			if !ok {
-				return a.errf(lineNo, "jmpl: bad destination %q", ops[1])
+				a.late = a.errf(lineNo, "jmpl: bad destination %q", ops[1])
 			}
-			in.Rd = rd
-			return a.emit(lineNo, in)
+			s.in.Rd = rd
+			return nil
 		}
 		return a.errf(lineNo, "%s: bad operand count %d", mn, nOps)
 	}

@@ -963,11 +963,16 @@ func (m *Machine) notifyCheckpoint(advance uint64, pc uint32, where string) erro
 // Processor (requires St.LogStores) and by the VLIW Engine. External
 // checkers use the journaled addresses to compare memory incrementally
 // instead of scanning the whole image at every checkpoint.
+//
+// The returned slice shares the journal's backing array, so draining
+// does not allocate: it is valid until the next DrainJournal call or
+// until the machine runs on, whichever comes first. Callers that keep
+// records longer must copy them.
 func (m *Machine) DrainJournal() []arch.StoreRec {
 	m.journal = append(m.journal, m.St.StoreLog...)
 	m.St.StoreLog = m.St.StoreLog[:0]
 	j := m.journal
-	m.journal = nil
+	m.journal = m.journal[:0]
 	return j
 }
 

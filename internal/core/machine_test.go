@@ -260,3 +260,51 @@ loop:
 		t.Fatalf("retired %d, want >= 10000", m.Stats.Retired)
 	}
 }
+
+// TestDrainJournalReusesBacking pins DrainJournal's validity rule: the
+// drained slice holds every record committed since the last drain, stays
+// intact while the caller reads memory, and shares its backing with the
+// journal, so draining allocates nothing and the next drain reuses it.
+func TestDrainJournalReusesBacking(t *testing.T) {
+	st := buildState(t, "\t.data 0x40000\nbuf:\t.space 16\n\t.text 0x1000\nstart:\n\tta 0\n", 8)
+	st.LogStores = true
+	m, err := NewMachine(IdealConfig(8, 8), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []arch.StoreRec{{Addr: 0x40000, Size: 4}, {Addr: 0x40004, Size: 1}, {Addr: 0x40008, Size: 2}}
+	st.StoreLog = append(st.StoreLog, recs...)
+	j := m.DrainJournal()
+	if len(j) != len(recs) {
+		t.Fatalf("drained %d records, want %d", len(j), len(recs))
+	}
+	for _, r := range recs {
+		if _, err := st.Mem.Read(r.Addr, r.Size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range recs {
+		if j[i] != recs[i] {
+			t.Fatalf("drained record %d = %+v after memory reads, want %+v", i, j[i], recs[i])
+		}
+	}
+	if len(st.StoreLog) != 0 {
+		t.Fatalf("Primary store log not cleared: %d records", len(st.StoreLog))
+	}
+
+	st.StoreLog = append(st.StoreLog, recs[2])
+	j2 := m.DrainJournal()
+	if len(j2) != 1 || j2[0] != recs[2] {
+		t.Fatalf("second drain = %+v, want [%+v]", j2, recs[2])
+	}
+	if &j2[0] != &j[0] {
+		t.Error("second drain did not reuse the journal's backing array")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		st.StoreLog = append(st.StoreLog, recs...)
+		m.DrainJournal()
+	})
+	if allocs != 0 {
+		t.Errorf("store-and-drain cycle allocates %.0f objects, want 0", allocs)
+	}
+}

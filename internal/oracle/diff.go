@@ -168,20 +168,25 @@ func runDiffOn(m *core.Machine, ref *Ref) (*Result, error) {
 }
 
 // diffJournal drains both machines' store journals and compares the
-// current memory contents at every journaled location.
+// current memory contents at every journaled location: the machine's
+// records first, then the reference's. Both logs are read in place (the
+// drained journal stays valid until the machine runs on), so a
+// checkpoint allocates nothing.
 func diffJournal(m *core.Machine, ref *Ref) string {
-	recs := append(m.DrainJournal(), ref.St.StoreLog...)
+	refLog := ref.St.StoreLog
 	ref.St.StoreLog = ref.St.StoreLog[:0]
-	for _, rec := range recs {
-		a, errA := m.St.Mem.Read(rec.Addr, rec.Size)
-		b, errB := ref.St.Mem.Read(rec.Addr, rec.Size)
-		if errA != nil || errB != nil {
-			return fmt.Sprintf("mem[%#08x/%d]: machine read %v, reference read %v",
-				rec.Addr, rec.Size, errA, errB)
-		}
-		if a != b {
-			return fmt.Sprintf("mem[%#08x/%d]: machine %#x, reference %#x",
-				rec.Addr, rec.Size, a, b)
+	for _, recs := range [2][]arch.StoreRec{m.DrainJournal(), refLog} {
+		for _, rec := range recs {
+			a, errA := m.St.Mem.Read(rec.Addr, rec.Size)
+			b, errB := ref.St.Mem.Read(rec.Addr, rec.Size)
+			if errA != nil || errB != nil {
+				return fmt.Sprintf("mem[%#08x/%d]: machine read %v, reference read %v",
+					rec.Addr, rec.Size, errA, errB)
+			}
+			if a != b {
+				return fmt.Sprintf("mem[%#08x/%d]: machine %#x, reference %#x",
+					rec.Addr, rec.Size, a, b)
+			}
 		}
 	}
 	return ""

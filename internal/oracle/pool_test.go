@@ -183,6 +183,39 @@ func TestPooledSteadyStateAllocBound(t *testing.T) {
 	}
 }
 
+// sweepCaseAllocBudget bounds the allocations of one whole sweep case on
+// a warm context. A case costs about 150, mostly block lowering and
+// per-program bookkeeping; one allocation per source line, CFG block or
+// checkpoint anywhere in the front end would add hundreds.
+const sweepCaseAllocBudget = 250
+
+// TestSweepCaseAllocBound: once a worker's SweepContext is warm, one
+// whole case — generate, assemble, certify, pooled differential run —
+// costs a bounded number of allocations, so the sweep's front end stays
+// allocated per program, not per line, block or checkpoint.
+func TestSweepCaseAllocBound(t *testing.T) {
+	configs := DefaultConfigs()
+	r := newSweepRunner(SweepOptions{Seed: 1}, progen.Shapes(), configs, nil, 0)
+	// Warm every (shape, config) pair of the rotation once.
+	rotation := len(progen.Shapes()) * len(configs)
+	for i := 0; i < rotation; i++ {
+		if cr := r.runCase(i); cr.failure != nil {
+			t.Fatalf("warm-up case %d failed:\n%s", i, cr.failure.Render())
+		}
+	}
+	i := rotation
+	allocs := testing.AllocsPerRun(rotation-1, func() {
+		if cr := r.runCase(i); cr.failure != nil {
+			panic(cr.failure.Render())
+		}
+		i++
+	})
+	t.Logf("%.0f allocations per sweep case", allocs)
+	if allocs > sweepCaseAllocBudget {
+		t.Fatalf("one sweep case allocates %.0f objects, budget %d", allocs, sweepCaseAllocBudget)
+	}
+}
+
 // TestFastForwardEquivalence: fast-forwarding a warmup prefix changes
 // cycle accounting only — the architectural outcome, instruction count
 // and reference agreement are untouched, and cycles strictly drop.

@@ -247,7 +247,15 @@ func BuildCFG(p *asm.Program) *CFG {
 		}
 	}
 
-	// Blocks.
+	// Blocks. Every block-ending instruction marked the word after it a
+	// leader, so the blocks start exactly at word 0 and at each leader.
+	nb := 1
+	for _, l := range leader[1:] {
+		if l {
+			nb++
+		}
+	}
+	c.Blocks = make([]Block, 0, nb)
 	c.blockOf = make([]int, n)
 	start := 0
 	flush := func(end int) {
@@ -274,26 +282,47 @@ func BuildCFG(p *asm.Program) *CFG {
 		flush(n)
 	}
 
-	// Edges.
+	// Edges, carved from two backings. A block has at most two static
+	// successors, so one array holds every Succs list; the Preds lists
+	// are laid out by in-degree once the successors are known. Blocks
+	// without edges keep nil lists.
+	succAll := make([]int, 0, 2*len(c.Blocks))
 	for bi := range c.Blocks {
 		b := &c.Blocks[bi]
+		first := len(succAll)
 		last := int(b.End-c.TextBase)/4 - 1
 		lastAddr := b.End - 4
 		in := &c.Insts[last]
 		if !endsBlock(in, c.Ok[last]) && c.Ok[last] {
 			// Block was split by a leader: fall through.
 			if c.inText(b.End) {
-				b.Succs = append(b.Succs, c.blockOf[(b.End-c.TextBase)/4])
+				succAll = append(succAll, c.blockOf[(b.End-c.TextBase)/4])
 			}
 		} else {
 			scratch = succAddrs(in, c.Ok[last], lastAddr, scratch[:0])
 			for _, s := range scratch {
 				if c.inText(s) {
-					b.Succs = append(b.Succs, c.blockOf[(s-c.TextBase)/4])
+					succAll = append(succAll, c.blockOf[(s-c.TextBase)/4])
 				}
 			}
 		}
-		b.Succs = dedupInts(b.Succs)
+		succs := dedupInts(succAll[first:])
+		succAll = succAll[:first+len(succs)]
+		if len(succs) > 0 {
+			b.Succs = succs[:len(succs):len(succs)]
+		}
+	}
+	inDeg := make([]int, len(c.Blocks))
+	for _, s := range succAll {
+		inDeg[s]++
+	}
+	predAll := make([]int, len(succAll))
+	off := 0
+	for bi, k := range inDeg {
+		if k > 0 {
+			c.Blocks[bi].Preds = predAll[off : off : off+k]
+			off += k
+		}
 	}
 	for bi := range c.Blocks {
 		for _, s := range c.Blocks[bi].Succs {

@@ -14,6 +14,7 @@ package progen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -115,17 +116,21 @@ func ShapeParams(s Shape, seed int64) Params {
 }
 
 type gen struct {
-	rng     *rand.Rand
-	p       Params
-	b       strings.Builder
-	label   int
-	funcs   []string // generated function labels
-	funcSrc strings.Builder
+	rng   *rand.Rand
+	p     Params
+	w     *strings.Builder // where emit writes: body, or funcs inside genFunc
+	body  strings.Builder
+	funcs strings.Builder // function bodies, appended after the main body
+	label int
 }
 
 // Generate produces the assembly source of a random terminating program.
 func Generate(p Params) string {
 	g := &gen{rng: rand.New(rand.NewSource(p.Seed)), p: p}
+	g.w = &g.body
+	// About the 90th-percentile program size of every shape, so the body
+	// is allocated once per program rather than regrown line by line.
+	g.body.Grow(1024 + 160*p.Items)
 	return g.program()
 }
 
@@ -139,19 +144,87 @@ func (g *gen) reg() string { return pool[g.rng.Intn(len(pool))] }
 
 func (g *gen) newLabel(prefix string) string {
 	g.label++
-	return fmt.Sprintf("%s_%d", prefix, g.label)
+	var buf [32]byte
+	b := append(append(buf[:0], prefix...), '_')
+	return string(strconv.AppendInt(b, int64(g.label), 10))
 }
 
-func (g *gen) emit(format string, args ...interface{}) {
-	fmt.Fprintf(&g.b, "\t"+format+"\n", args...)
+// emit writes one instruction line: a tab, format expanded by put, and a
+// newline.
+func (g *gen) emit(format string, args ...any) {
+	g.w.WriteByte('\t')
+	g.put(format, args)
+	g.w.WriteByte('\n')
+}
+
+// labelLine writes a label definition line.
+func (g *gen) labelLine(lbl string) {
+	g.w.WriteString(lbl)
+	g.w.WriteString(":\n")
+}
+
+// put expands format with the only verbs the generator uses — %s
+// (string), %d (integer), %#x (integer as 0x-prefixed lower-case hex)
+// and %% — exactly as fmt would. Expanding them here rather
+// than through fmt keeps args on the caller's stack, so emitting a line
+// does not allocate.
+func (g *gen) put(format string, args []any) {
+	var num [24]byte
+	for {
+		i := strings.IndexByte(format, '%')
+		if i < 0 {
+			g.w.WriteString(format)
+			return
+		}
+		g.w.WriteString(format[:i])
+		verb := format[i+1]
+		format = format[i+2:]
+		switch verb {
+		case '%':
+			g.w.WriteByte('%')
+			continue
+		case 's':
+			g.w.WriteString(args[0].(string))
+		case 'd':
+			g.w.Write(strconv.AppendInt(num[:0], intArg(args[0]), 10))
+		case '#':
+			if format == "" || format[0] != 'x' {
+				panic("progen: unsupported verb %#" + format)
+			}
+			format = format[1:]
+			v := intArg(args[0])
+			if v < 0 {
+				g.w.WriteByte('-')
+				v = -v
+			}
+			g.w.WriteString("0x")
+			g.w.Write(strconv.AppendUint(num[:0], uint64(v), 16))
+		default:
+			panic("progen: unsupported verb %" + string(verb))
+		}
+		args = args[1:]
+	}
+}
+
+// intArg returns an integer argument of put.
+func intArg(a any) int64 {
+	switch v := a.(type) {
+	case int:
+		return int64(v)
+	case int32:
+		return int64(v)
+	case uint32:
+		return int64(v)
+	}
+	panic("progen: put argument is not an integer")
 }
 
 func (g *gen) program() string {
-	g.b.WriteString("\t.data 0x40000\nbuf:\t.space 256\nfbuf:")
+	g.w.WriteString("\t.data 0x40000\nbuf:\t.space 256\nfbuf:")
 	for i := 0; i < 16; i++ {
-		fmt.Fprintf(&g.b, "\t.word %#x\n", g.rng.Uint32()&0x3FFFFFFF|0x3F000000)
+		g.emit(".word %#x", g.rng.Uint32()&0x3FFFFFFF|0x3F000000)
 	}
-	g.b.WriteString("\t.text 0x1000\nstart:\n")
+	g.w.WriteString("\t.text 0x1000\nstart:\n")
 	// Seed registers with deterministic junk.
 	for _, r := range pool {
 		g.emit("set %d, %s", g.rng.Int31n(1<<20), r)
@@ -178,8 +251,8 @@ func (g *gen) program() string {
 		g.emit("xor %%o0, %s, %%o0", r)
 	}
 	g.emit("ta 0")
-	g.b.WriteString(g.funcSrc.String())
-	return g.b.String()
+	g.body.WriteString(g.funcs.String())
+	return g.body.String()
 }
 
 // item emits one random statement at the given nesting depth, with the
@@ -289,12 +362,23 @@ func (g *gen) multicycleItem(depth int) {
 	}
 }
 
-// alu emits a random integer ALU instruction.
-func (g *gen) alu() {
-	ops := []string{"add", "sub", "and", "or", "xor", "andn", "orn", "xnor",
+// Operand vocabularies the statement generators draw from.
+var (
+	aluOps = []string{"add", "sub", "and", "or", "xor", "andn", "orn", "xnor",
 		"addcc", "subcc", "andcc", "orcc", "xorcc", "sll", "srl", "sra",
 		"addx", "subx"}
-	op := ops[g.rng.Intn(len(ops))]
+	memSizes = []struct {
+		ld, st string
+		mask   int
+	}{{"ld", "st", 0xFC}, {"ldub", "stb", 0xFF}, {"lduh", "sth", 0xFE}, {"ldsb", "stb", 0xFF}, {"ldsh", "sth", 0xFE}}
+	conds  = []string{"e", "ne", "g", "le", "ge", "l", "gu", "leu", "cc", "cs", "pos", "neg"}
+	fconds = []string{"e", "ne", "l", "g", "le", "ge"}
+	fpOps  = []string{"fadds", "fsubs", "fmuls"}
+)
+
+// alu emits a random integer ALU instruction.
+func (g *gen) alu() {
+	op := aluOps[g.rng.Intn(len(aluOps))]
 	rd := g.reg()
 	rs1 := g.reg()
 	if g.rng.Intn(2) == 0 {
@@ -314,11 +398,7 @@ func (g *gen) alu() {
 // operations can be reordered by the scheduler (the precondition for
 // runtime aliasing).
 func (g *gen) memOp() {
-	sizes := []struct {
-		ld, st string
-		mask   int
-	}{{"ld", "st", 0xFC}, {"ldub", "stb", 0xFF}, {"lduh", "sth", 0xFE}, {"ldsb", "stb", 0xFF}, {"ldsh", "sth", 0xFE}}
-	sz := sizes[g.rng.Intn(len(sizes))]
+	sz := memSizes[g.rng.Intn(len(memSizes))]
 	ra := g.reg()
 	if g.rng.Intn(3) == 0 {
 		// Fixed offset: collides with data-dependent addresses sometimes.
@@ -336,7 +416,6 @@ func (g *gen) memOp() {
 // condSkip emits a compare and a conditional forward branch over a few
 // instructions.
 func (g *gen) condSkip(depth int) {
-	conds := []string{"e", "ne", "g", "le", "ge", "l", "gu", "leu", "cc", "cs", "pos", "neg"}
 	lbl := g.newLabel("skip")
 	g.emit("cmp %s, %s", g.reg(), g.reg())
 	g.emit("b%s %s", conds[g.rng.Intn(len(conds))], lbl)
@@ -344,16 +423,16 @@ func (g *gen) condSkip(depth int) {
 	for i := 0; i < n; i++ {
 		g.alu()
 	}
-	g.b.WriteString(lbl + ":\n")
+	g.labelLine(lbl)
 }
 
 // loop emits a counted loop using the per-depth counter register.
 func (g *gen) loop(depth int) {
-	ctr := fmt.Sprintf("%%l%d", 4+depth)
+	ctr := "%l" + strconv.Itoa(4+depth)
 	lbl := g.newLabel("loop")
 	iters := 1 + g.rng.Intn(6)
 	g.emit("mov %d, %s", iters, ctr)
-	g.b.WriteString(lbl + ":\n")
+	g.labelLine(lbl)
 	n := 1 + g.rng.Intn(4)
 	for i := 0; i < n; i++ {
 		g.item(depth + 1)
@@ -364,16 +443,14 @@ func (g *gen) loop(depth int) {
 
 // fpOp emits floating-point arithmetic over %f0..%f7 plus an fcc branch.
 func (g *gen) fpOp() {
-	ops := []string{"fadds", "fsubs", "fmuls"}
 	f := func() int { return g.rng.Intn(8) }
-	g.emit("%s %%f%d, %%f%d, %%f%d", ops[g.rng.Intn(len(ops))], f(), f(), f())
+	g.emit("%s %%f%d, %%f%d, %%f%d", fpOps[g.rng.Intn(len(fpOps))], f(), f(), f())
 	if g.rng.Intn(3) == 0 {
 		lbl := g.newLabel("fskip")
 		g.emit("fcmps %%f%d, %%f%d", f(), f())
-		fconds := []string{"e", "ne", "l", "g", "le", "ge"}
 		g.emit("fb%s %s", fconds[g.rng.Intn(len(fconds))], lbl)
 		g.alu()
-		g.b.WriteString(lbl + ":\n")
+		g.labelLine(lbl)
 	}
 	if g.rng.Intn(4) == 0 {
 		g.emit("fstoi %%f%d, %%f%d", f(), f())
@@ -385,17 +462,16 @@ func (g *gen) fpOp() {
 // consuming the same condition codes, so blocks carry several branches and
 // the VLIW Engine's tag system must annul correctly on either deviation.
 func (g *gen) ccBranchPair() {
-	conds := []string{"e", "ne", "g", "le", "ge", "l", "gu", "leu", "cc", "cs", "pos", "neg"}
 	g.emit("cmp %s, %s", g.reg(), g.reg())
 	l1 := g.newLabel("bp")
 	g.emit("b%s %s", conds[g.rng.Intn(len(conds))], l1)
 	g.alu()
-	g.b.WriteString(l1 + ":\n")
+	g.labelLine(l1)
 	l2 := g.newLabel("bp")
 	g.emit("b%s %s", conds[g.rng.Intn(len(conds))], l2)
 	g.alu()
 	g.alu()
-	g.b.WriteString(l2 + ":\n")
+	g.labelLine(l2)
 }
 
 // aliasPair emits a store through a data-dependent pointer next to a load
@@ -447,21 +523,19 @@ func (g *gen) loadUse() {
 // fpChain emits a dependent floating-point chain, occasionally ending in a
 // division or a compare, so multicycle FP latencies stack up on one value.
 func (g *gen) fpChain() {
-	ops := []string{"fadds", "fsubs", "fmuls"}
 	f := func() int { return g.rng.Intn(8) }
 	d := f()
-	g.emit("%s %%f%d, %%f%d, %%f%d", ops[g.rng.Intn(len(ops))], f(), f(), d)
-	g.emit("%s %%f%d, %%f%d, %%f%d", ops[g.rng.Intn(len(ops))], d, f(), d)
+	g.emit("%s %%f%d, %%f%d, %%f%d", fpOps[g.rng.Intn(len(fpOps))], f(), f(), d)
+	g.emit("%s %%f%d, %%f%d, %%f%d", fpOps[g.rng.Intn(len(fpOps))], d, f(), d)
 	if g.rng.Intn(3) == 0 {
 		g.emit("fdivs %%f%d, %%f%d, %%f%d", f(), d, f())
 	}
 	if g.rng.Intn(3) == 0 {
 		lbl := g.newLabel("fchain")
 		g.emit("fcmps %%f%d, %%f%d", d, f())
-		fconds := []string{"e", "ne", "l", "g", "le", "ge"}
 		g.emit("fb%s %s", fconds[g.rng.Intn(len(fconds))], lbl)
 		g.alu()
-		g.b.WriteString(lbl + ":\n")
+		g.labelLine(lbl)
 	}
 }
 
@@ -480,9 +554,8 @@ func (g *gen) mulStep() {
 // fresh register window, may call lower-numbered functions, and return
 // through %i7.
 func (g *gen) genFunc(idx int) {
-	old := g.b
-	g.b = strings.Builder{}
-	fmt.Fprintf(&g.b, "fn_%d:\n", idx)
+	g.w = &g.funcs
+	g.put("fn_%d:\n", []any{idx})
 	g.emit("save %%sp, -96, %%sp")
 	n := 2 + g.rng.Intn(5)
 	for i := 0; i < n; i++ {
@@ -501,6 +574,5 @@ func (g *gen) genFunc(idx int) {
 	}
 	g.emit("restore %%o0, 0, %%o0")
 	g.emit("retl")
-	g.funcSrc.WriteString(g.b.String())
-	g.b = old
+	g.w = &g.body
 }

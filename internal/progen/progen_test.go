@@ -8,22 +8,28 @@ import (
 	"dtsvliw/internal/mem"
 )
 
+// terminateMixes are the feature mixes TestGeneratedProgramsTerminate
+// runs for seeds [0, terminateSeeds); the generator golden pins their
+// output too.
+var terminateMixes = []Params{
+	DefaultParams(0),
+	{Seed: 0, Items: 80, MaxDepth: 4, Mem: true},
+	{Seed: 0, Items: 30, MaxDepth: 2, FP: true},
+	{Seed: 0, Items: 50, MaxDepth: 3, Calls: true},
+	{Seed: 0, Items: 20, MaxDepth: 1},
+}
+
+const terminateSeeds = 40
+
 // TestGeneratedProgramsTerminate: every generated program assembles and
 // halts under the sequential interpreter within a bounded instruction
 // count, across feature mixes.
 func TestGeneratedProgramsTerminate(t *testing.T) {
-	mixes := []Params{
-		DefaultParams(0),
-		{Seed: 0, Items: 80, MaxDepth: 4, Mem: true},
-		{Seed: 0, Items: 30, MaxDepth: 2, FP: true},
-		{Seed: 0, Items: 50, MaxDepth: 3, Calls: true},
-		{Seed: 0, Items: 20, MaxDepth: 1},
-	}
-	n := 40
+	n := terminateSeeds
 	if testing.Short() {
 		n = 10
 	}
-	for _, mix := range mixes {
+	for _, mix := range terminateMixes {
 		for seed := int64(0); seed < int64(n); seed++ {
 			p := mix
 			p.Seed = seed
