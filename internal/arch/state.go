@@ -8,6 +8,7 @@ package arch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dtsvliw/internal/isa"
 	"dtsvliw/internal/mem"
@@ -29,40 +30,65 @@ type StoreRec struct {
 }
 
 // State is the full architectural state of one SPARC V7 machine.
+//
+// The integer register file is unexported so that every write to it goes
+// through this package, which marks the register in the dirty set (see
+// CompareDirty). The closed write path is what makes the dirty-set
+// checkpoint comparison exact.
 type State struct {
 	NWin int      //resetcheck:allow window-file geometry is fixed at construction
-	Regs []uint32 // 8 + NWin*16 physical integer registers; [0] is %g0
-	F    [32]uint32
-	icc  uint8
-	fcc  uint8
-	y    uint32
-	cwp  uint8
-	PC   uint32
+	regs []uint32 // 8 + NWin*16 physical integer registers; [0] is %g0
+	// dirty has one bit per physical integer register, set by every write
+	// since the last successful CompareDirty. NewState, Reset, Clone and
+	// RestoreRegs set every bit. It shares one allocation with regs.
+	dirty []uint32
+	F     [32]uint32
+	icc   uint8
+	fcc   uint8
+	y     uint32
+	cwp   uint8
+	PC    uint32
 
 	Mem *mem.Memory //resetcheck:allow the program image is the caller's to reload (see Reset doc)
 
-	Halted   bool
-	ExitCode uint32
-	Output   []byte
+	Halted bool
+	// LogStores enables journaling of memory writes into StoreLog for
+	// lockstep memory comparison.
+	LogStores bool
+	ExitCode  uint32
+	Output    []byte
 
 	// Instret counts retired instructions (the sequential instruction
 	// count the paper divides by cycles to obtain IPC).
 	Instret uint64
 
-	// LogStores enables journaling of memory writes into StoreLog for
-	// lockstep memory comparison.
-	LogStores bool
-	StoreLog  []StoreRec
+	StoreLog []StoreRec
 
 	dec *decodeCache //resetcheck:allow pure function of raw instruction bits; sharing it across runs is the point
 }
 
 // NewState builds a machine state with nwin register windows over m.
 func NewState(nwin int, m *mem.Memory) *State {
-	return &State{
-		NWin: nwin,
-		Regs: make([]uint32, isa.NumPhysRegs(nwin)),
-		Mem:  m,
+	s := &State{NWin: nwin, Mem: m}
+	s.allocRegs(isa.NumPhysRegs(nwin))
+	return s
+}
+
+// allocRegs gives s a zeroed file of n integer registers, all marked
+// dirty, and the dirty bitset in the same allocation.
+func (s *State) allocRegs(n int) {
+	buf := make([]uint32, n+(n+31)/32)
+	s.regs, s.dirty = buf[:n:n], buf[n:]
+	s.markAll()
+}
+
+// markAll marks every integer register dirty.
+func (s *State) markAll() {
+	for i := range s.dirty {
+		s.dirty[i] = ^uint32(0)
+	}
+	if r := len(s.regs) % 32; r != 0 {
+		s.dirty[len(s.dirty)-1] = 1<<r - 1
 	}
 }
 
@@ -73,7 +99,8 @@ func NewState(nwin int, m *mem.Memory) *State {
 // then call SetTextRange, which reuses the cache's storage). Reusing a
 // reset state is observationally identical to building a fresh one.
 func (s *State) Reset() {
-	clear(s.Regs)
+	clear(s.regs)
+	s.markAll()
 	s.F = [32]uint32{}
 	s.icc, s.fcc, s.y, s.cwp = 0, 0, 0, 0
 	s.PC = 0
@@ -108,6 +135,15 @@ func (s *State) SetTextRange(base, size uint32) {
 	s.dec = &decodeCache{base: base, insts: make([]isa.Inst, n), ok: make([]bool, n)}
 }
 
+// TextRange returns the range the decode cache covers, as its base
+// address and length in words (0, 0 before any SetTextRange).
+func (s *State) TextRange() (base, words uint32) {
+	if s.dec == nil {
+		return 0, 0
+	}
+	return s.dec.base, uint32(len(s.dec.insts))
+}
+
 type decodeCache struct {
 	base  uint32
 	insts []isa.Inst
@@ -116,68 +152,83 @@ type decodeCache struct {
 	// and trampolines place code outside the declared text range, and the
 	// Primary Processor's first-execution path would otherwise re-decode
 	// those words on every visit.
-	extra map[uint32]isa.Inst
+	extra map[uint32]*isa.Inst
 }
 
 // FetchDecode fetches and decodes the instruction at addr.
 func (s *State) FetchDecode(addr uint32) (isa.Inst, error) {
+	in, err := s.fetch(addr)
+	if err != nil {
+		return isa.Inst{}, err
+	}
+	return *in, nil
+}
+
+// fetch is FetchDecode without the copy: it returns a pointer into the
+// decode cache. With no cache installed every fetch decodes afresh, into
+// a new Inst.
+func (s *State) fetch(addr uint32) (*isa.Inst, error) {
 	d := s.dec
 	if d != nil && addr >= d.base && addr < d.base+uint32(len(d.insts))*4 {
 		i := (addr - d.base) / 4
 		if d.ok[i] {
-			return d.insts[i], nil
+			return &d.insts[i], nil
 		}
-		raw, err := s.Mem.ReadWord(addr)
-		if err != nil {
-			return isa.Inst{}, err
+		if err := s.decode(addr, &d.insts[i]); err != nil {
+			return nil, err
 		}
-		in, err := isa.Decode(raw)
-		if err != nil {
-			return isa.Inst{}, fmt.Errorf("at %#08x: %w", addr, err)
-		}
-		d.insts[i] = in
 		d.ok[i] = true
-		return in, nil
+		return &d.insts[i], nil
 	}
 	if d != nil {
 		if in, hit := d.extra[addr]; hit {
 			return in, nil
 		}
 	}
-	raw, err := s.Mem.ReadWord(addr)
-	if err != nil {
-		return isa.Inst{}, err
+	in := new(isa.Inst)
+	if err := s.decode(addr, in); err != nil {
+		return nil, err
 	}
-	in, err := isa.Decode(raw)
-	if err != nil {
-		return isa.Inst{}, fmt.Errorf("at %#08x: %w", addr, err)
+	if d == nil {
+		return in, nil
 	}
-	if d != nil {
-		if d.extra == nil {
-			d.extra = make(map[uint32]isa.Inst)
-		}
-		d.extra[addr] = in
+	if d.extra == nil {
+		d.extra = make(map[uint32]*isa.Inst)
 	}
+	d.extra[addr] = in
 	return in, nil
 }
 
-// isa.Env implementation ---------------------------------------------------
+// decode reads and decodes the word at addr into *in.
+func (s *State) decode(addr uint32, in *isa.Inst) error {
+	raw, err := s.Mem.ReadWord(addr)
+	if err != nil {
+		return err
+	}
+	if *in, err = isa.Decode(raw); err != nil {
+		return fmt.Errorf("at %#08x: %w", addr, err)
+	}
+	return nil
+}
+
+// Register and condition-code accessors ------------------------------------
 
 // ReadReg reads physical integer register idx (%g0 reads as zero).
 func (s *State) ReadReg(idx uint16) uint32 {
 	if idx == 0 {
 		return 0
 	}
-	return s.Regs[idx]
+	return s.regs[idx]
 }
 
 // WriteReg writes physical integer register idx (writes to %g0 are
-// discarded).
+// discarded) and marks it dirty.
 func (s *State) WriteReg(idx uint16, v uint32) {
 	if idx == 0 {
 		return
 	}
-	s.Regs[idx] = v
+	s.regs[idx] = v
+	s.dirty[idx>>5] |= 1 << (idx & 31)
 }
 
 // ReadF reads floating-point register idx.
@@ -210,17 +261,6 @@ func (s *State) CWP() uint8 { return s.cwp }
 // SetCWP sets the current window pointer.
 func (s *State) SetCWP(v uint8) { s.cwp = uint8(int(v) % s.NWin) }
 
-// Load reads size bytes at addr from memory.
-func (s *State) Load(addr uint32, size uint8) (uint32, error) { return s.Mem.Read(addr, size) }
-
-// Store writes size bytes at addr to memory.
-func (s *State) Store(addr uint32, v uint32, size uint8) error {
-	if s.LogStores {
-		s.StoreLog = append(s.StoreLog, StoreRec{Addr: addr, Size: size})
-	}
-	return s.Mem.Write(addr, v, size)
-}
-
 // Reg reads architectural register r (0..31) in the current window.
 func (s *State) Reg(r uint8) uint32 {
 	return s.ReadReg(isa.PhysReg(s.cwp, r, s.NWin))
@@ -229,6 +269,36 @@ func (s *State) Reg(r uint8) uint32 {
 // SetReg writes architectural register r (0..31) in the current window.
 func (s *State) SetReg(r uint8, v uint32) {
 	s.WriteReg(isa.PhysReg(s.cwp, r, s.NWin), v)
+}
+
+// RegCheckpoint is a copy of the register state — integer file, FP file,
+// icc, fcc, Y and CWP — that a State can later be rolled back to: the
+// VLIW Engine's shadow registers (paper §3.11). Its storage is reused
+// across SaveRegs calls.
+type RegCheckpoint struct {
+	regs     []uint32
+	f        [32]uint32
+	icc, fcc uint8
+	y        uint32
+	cwp      uint8
+}
+
+// SaveRegs copies the register state into cp.
+func (s *State) SaveRegs(cp *RegCheckpoint) {
+	cp.regs = append(cp.regs[:0], s.regs...)
+	cp.f = s.F
+	cp.icc, cp.fcc, cp.y, cp.cwp = s.icc, s.fcc, s.y, s.cwp
+}
+
+// RestoreRegs rolls the register state back to cp, taken by SaveRegs on
+// a state of the same geometry. It marks every integer register dirty:
+// registers cleared by a checkpoint comparison since SaveRegs may change
+// back.
+func (s *State) RestoreRegs(cp *RegCheckpoint) {
+	copy(s.regs, cp.regs)
+	s.F = cp.f
+	s.icc, s.fcc, s.y, s.cwp = cp.icc, cp.fcc, cp.y, cp.cwp
+	s.markAll()
 }
 
 // --------------------------------------------------------------------------
@@ -254,7 +324,8 @@ func (s *State) HandleTrap(num uint8) error {
 // Step executes exactly one instruction sequentially, updating PC and
 // Instret. It is the reference semantics for the whole simulator.
 func (s *State) Step() error {
-	_, _, err := s.StepOutcome()
+	var out isa.Outcome
+	_, err := s.StepInto(&out)
 	return err
 }
 
@@ -262,27 +333,40 @@ func (s *State) Step() error {
 // decoded form and outcome, which the DTSVLIW Primary Processor forwards
 // to the Scheduler Unit.
 func (s *State) StepOutcome() (isa.Inst, isa.Outcome, error) {
+	var out isa.Outcome
+	in, err := s.StepInto(&out)
+	if in == nil {
+		return isa.Inst{}, out, err
+	}
+	return *in, out, err
+}
+
+// StepInto is StepOutcome without the copies: it executes straight from
+// the decode cache, returns the instruction as a pointer into it (nil
+// when halted or when the fetch failed) and writes the outcome into
+// *out. The pointer is valid until the next SetTextRange.
+func (s *State) StepInto(out *isa.Outcome) (*isa.Inst, error) {
 	if s.Halted {
-		return isa.Inst{}, isa.Outcome{}, nil
+		return nil, nil
 	}
-	in, err := s.FetchDecode(s.PC)
+	pc := s.PC
+	in, err := s.fetch(pc)
 	if err != nil {
-		return in, isa.Outcome{}, err
+		return nil, err
 	}
-	out, err := isa.Exec(&in, s.PC, s, s.NWin)
-	if err != nil {
-		return in, out, fmt.Errorf("arch: %v executing %q at %#08x", err, in.Disasm(s.PC), s.PC)
+	if err := s.exec(in, pc, out); err != nil {
+		return in, fmt.Errorf("arch: %v executing %q at %#08x", err, in.Disasm(pc), pc)
 	}
 	s.Instret++
 	if out.Trap {
 		if err := s.HandleTrap(out.TrapNum); err != nil {
-			return in, out, err
+			return in, err
 		}
-		s.PC += 4
-		return in, out, nil
+		s.PC = pc + 4
+		return in, nil
 	}
 	s.PC = out.NextPC
-	return in, out, nil
+	return in, nil
 }
 
 // Run executes until the machine halts or maxInstrs retire. It returns an
@@ -304,7 +388,8 @@ func (s *State) Run(maxInstrs uint64) error {
 // with the original; it is how the lockstep test machine is created.
 func (s *State) Clone() *State {
 	c := *s
-	c.Regs = append([]uint32(nil), s.Regs...)
+	c.allocRegs(len(s.regs))
+	copy(c.regs, s.regs)
 	c.Mem = s.Mem.Snapshot()
 	c.Output = append([]byte(nil), s.Output...)
 	c.StoreLog = nil
@@ -323,14 +408,58 @@ func CompareRegisters(a, b *State) (string, bool) {
 	if a.NWin != b.NWin {
 		return fmt.Sprintf("nwin %d != %d", a.NWin, b.NWin), false
 	}
-	for i := range a.Regs {
-		if a.Regs[i] != b.Regs[i] {
-			return fmt.Sprintf("phys r%d: %#x != %#x", i, a.Regs[i], b.Regs[i]), false
+	for i := range a.regs {
+		if a.regs[i] != b.regs[i] {
+			return regDiff(a, b, i), false
 		}
 	}
-	for i := range a.F {
-		if a.F[i] != b.F[i] {
-			return fmt.Sprintf("f%d: %#x != %#x", i, a.F[i], b.F[i]), false
+	return compareRest(a, b)
+}
+
+// CompareDirty is CompareRegisters over the registers either state wrote
+// since the last successful CompareDirty of the two: it checks the union
+// of both dirty sets, then F, icc, fcc, Y and CWP in full, and clears
+// both sets only when everything matches. Its result, text included, is
+// exactly CompareRegisters': unmarked registers are equal by induction
+// (every write marks, and NewState, Reset, Clone and RestoreRegs mark
+// all), so the lowest differing index in the union is the lowest
+// differing index overall.
+//
+// A dirty set belongs to one lock-step pair. Comparing a state against a
+// second partner clears bits the first pair still relies on, so each
+// state may take part in CompareDirty calls with one partner only.
+func CompareDirty(a, b *State) (string, bool) {
+	if a.NWin != b.NWin {
+		return fmt.Sprintf("nwin %d != %d", a.NWin, b.NWin), false
+	}
+	for w := range a.dirty {
+		for m := a.dirty[w] | b.dirty[w]; m != 0; m &= m - 1 {
+			i := w*32 + bits.TrailingZeros32(m)
+			if a.regs[i] != b.regs[i] {
+				return regDiff(a, b, i), false
+			}
+		}
+	}
+	if diff, ok := compareRest(a, b); !ok {
+		return diff, false
+	}
+	for w := range a.dirty {
+		a.dirty[w], b.dirty[w] = 0, 0
+	}
+	return "", true
+}
+
+func regDiff(a, b *State, i int) string {
+	return fmt.Sprintf("phys r%d: %#x != %#x", i, a.regs[i], b.regs[i])
+}
+
+// compareRest compares the register state outside the integer file.
+func compareRest(a, b *State) (string, bool) {
+	if a.F != b.F {
+		for i := range a.F {
+			if a.F[i] != b.F[i] {
+				return fmt.Sprintf("f%d: %#x != %#x", i, a.F[i], b.F[i]), false
+			}
 		}
 	}
 	if a.icc != b.icc {

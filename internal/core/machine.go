@@ -75,12 +75,14 @@ type Machine struct {
 	effReads  []isa.Loc //resetcheck:allow scratch, truncated at each use
 	effWrites []isa.Loc //resetcheck:allow scratch, truncated at each use
 
-	// whereMemo caches the per-PC checkpoint descriptions of the Primary
-	// Processor fast path ("primary pc=..."), which would otherwise be
-	// formatted once per instruction whenever a CheckpointHook or the
-	// test machine observes them. An entry is a pure function of the PC,
-	// so the memo survives Reset and stays valid across pooled reuse.
-	whereMemo map[uint32]string //resetcheck:allow pure function of the PC, deliberately kept warm
+	// where caches the checkpoint descriptions of Primary Processor steps
+	// ("primary pc=..."), one entry per text word from whereBase, which
+	// would otherwise be built once per instruction whenever a
+	// CheckpointHook or the test machine observes them. An entry is a
+	// pure function of the PC, so the table survives Reset and stays
+	// valid across pooled reuse until the text base moves.
+	where     []string //resetcheck:allow pure function of the PC, deliberately kept warm
+	whereBase uint32   //resetcheck:allow base address of where's first entry
 
 	// tel is the telemetry collector (nil when disabled; every hook site
 	// is nil-guarded). telCols is a scratch buffer for per-column slot
@@ -440,7 +442,7 @@ func (m *Machine) fastForward() error {
 	}
 	var done uint64
 	for done < n && !m.St.Halted {
-		if _, _, err := m.St.StepOutcome(); err != nil {
+		if err := m.St.Step(); err != nil {
 			return err
 		}
 		done++
@@ -509,7 +511,8 @@ func (m *Machine) stepPrimary() error {
 	m.skipProbe = false
 
 	cwpBefore := m.St.CWP()
-	in, out, err := m.St.StepOutcome()
+	var out isa.Outcome
+	in, err := m.St.StepInto(&out)
 	if err != nil {
 		if m.excBudget > 0 && m.pendingExcErr != nil {
 			return fmt.Errorf("core: exception confirmed architecturally at %#08x: %v (first seen as %v)",
@@ -520,7 +523,7 @@ func (m *Machine) stepPrimary() error {
 
 	m.effReads, m.effWrites = in.EffectsAppend(cwpBefore, m.cfg.NWin, out.EA,
 		m.effReads[:0], m.effWrites[:0])
-	cycles := m.pipe.Price(&in, isa.Effects{Reads: m.effReads, Writes: m.effWrites}, out)
+	cycles := m.pipe.Price(in, isa.Effects{Reads: m.effReads, Writes: m.effWrites}, out)
 	cycles += m.ic.Access(pc)
 	if out.HasEA {
 		cycles += m.dc.Access(out.EA)
@@ -550,7 +553,7 @@ func (m *Machine) stepPrimary() error {
 		}
 	} else {
 		blk, err := m.sch.Insert(sched.Completed{
-			Inst: in, Addr: pc, CWP: cwpBefore, Outcome: out, Seq: seqNo,
+			Inst: *in, Addr: pc, CWP: cwpBefore, Outcome: out, Seq: seqNo,
 		})
 		if err != nil {
 			return err
@@ -579,18 +582,39 @@ func (m *Machine) stepPrimary() error {
 	return m.notifyCheckpoint(1, m.St.PC, m.primaryWhere(pc))
 }
 
-// primaryWhere returns the memoized checkpoint description of a Primary
-// Processor step at pc.
+// primaryWhere returns the checkpoint description of a Primary Processor
+// step at pc, memoized per text word; a pc outside the decoded text
+// range is described afresh.
 func (m *Machine) primaryWhere(pc uint32) string {
-	if w, ok := m.whereMemo[pc]; ok {
-		return w
+	base, words := m.St.TextRange()
+	i := (pc - base) / 4
+	if pc < base || pc&3 != 0 || i >= words {
+		return primaryWhereText(pc)
 	}
-	if m.whereMemo == nil {
-		m.whereMemo = make(map[uint32]string)
+	if base != m.whereBase {
+		clear(m.where)
+		m.whereBase = base
 	}
-	w := fmt.Sprintf("primary pc=%#08x", pc)
-	m.whereMemo[pc] = w
+	if uint32(len(m.where)) < words {
+		m.where = append(m.where, make([]string, int(words)-len(m.where))...)
+	}
+	w := m.where[i]
+	if w == "" {
+		w = primaryWhereText(pc)
+		m.where[i] = w
+	}
 	return w
+}
+
+// primaryWhereText formats "primary pc=%#08x" without fmt: the prefix and
+// eight hex digits.
+func primaryWhereText(pc uint32) string {
+	b := []byte("primary pc=0x00000000")
+	for i := len(b) - 1; pc != 0; i-- {
+		b[i] = "0123456789abcdef"[pc&15]
+		pc >>= 4
+	}
+	return string(b)
 }
 
 // stepVLIW executes one long instruction on the VLIW Engine.

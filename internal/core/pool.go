@@ -1,10 +1,12 @@
 package core
 
 import (
-	"fmt"
+	"encoding/binary"
 
 	"dtsvliw/internal/arch"
 	"dtsvliw/internal/mem"
+	"dtsvliw/internal/metrics"
+	"dtsvliw/internal/telemetry"
 )
 
 // MachineContext bundles one architectural state with one DTSVLIW machine
@@ -23,6 +25,7 @@ import (
 // because TestMode clones the architectural state at construction time.
 type MachineContext struct {
 	cfg    Config
+	key    poolKey
 	st     *arch.State
 	m      *Machine
 	pooled bool
@@ -43,6 +46,7 @@ func NewMachineContext(cfg Config) (*MachineContext, error) {
 	}
 	return &MachineContext{
 		cfg:    cfg,
+		key:    newPoolKey(&cfg),
 		st:     arch.NewState(cfg.NWin, mem.NewMemory()),
 		pooled: Poolable(cfg),
 	}, nil
@@ -92,7 +96,7 @@ func (c *MachineContext) Recycle() {
 // worker, which also keeps runs deterministic (a context's allocation
 // history never depends on sibling workers).
 type MachinePool struct {
-	free map[string][]*MachineContext
+	free map[poolKey][]*MachineContext
 
 	// Hits counts Gets served by a recycled context, Misses those that
 	// built a fresh one (non-poolable configurations always miss).
@@ -101,16 +105,17 @@ type MachinePool struct {
 
 // NewMachinePool builds an empty pool.
 func NewMachinePool() *MachinePool {
-	return &MachinePool{free: make(map[string][]*MachineContext)}
+	return &MachinePool{free: make(map[poolKey][]*MachineContext)}
 }
 
 // Get returns a context for cfg, recycling a shelved one when available.
 func (p *MachinePool) Get(cfg Config) (*MachineContext, error) {
-	key := poolKey(cfg)
-	if list := p.free[key]; len(list) > 0 {
+	var buf [configKeyLen]byte
+	enc := appendConfigKey(buf[:0], &cfg)
+	if list := p.free[poolKey{cfg.Telemetry, cfg.Metrics, string(enc)}]; len(list) > 0 {
 		c := list[len(list)-1]
 		list[len(list)-1] = nil
-		p.free[key] = list[:len(list)-1]
+		p.free[c.key] = list[:len(list)-1]
 		p.Hits++
 		return c, nil
 	}
@@ -125,22 +130,71 @@ func (p *MachinePool) Put(c *MachineContext) {
 		return
 	}
 	c.Recycle()
-	key := poolKey(c.cfg)
-	p.free[key] = append(p.free[key], c)
+	p.free[c.key] = append(p.free[c.key], c)
 }
 
-// poolKey fingerprints a configuration. Two configs with equal keys build
+// poolKey identifies a configuration. Two configs with equal keys build
 // machines with identical geometry and behaviour, so their contexts are
-// interchangeable. The fingerprint is the printed struct with the two
-// pointer attachments replaced by their identities: printing %+v through
-// them would reflect into shared mutable state (the metrics registry's
-// maps race with concurrent publishers), and pointer *identity* is what
-// pooling needs anyway — a pooled machine keeps publishing to the
+// interchangeable. The two pointer attachments enter by identity: reading
+// through them would reflect into shared mutable state (the metrics
+// registry's maps race with concurrent publishers), and pointer identity
+// is what pooling needs anyway — a pooled machine keeps publishing to the
 // registry it resolved instruments from, so contexts are interchangeable
-// only within one registry.
-func poolKey(cfg Config) string {
-	k := cfg
-	k.Telemetry = nil
-	k.Metrics = nil
-	return fmt.Sprintf("%p|%p|%+v", cfg.Telemetry, cfg.Metrics, k)
+// only within one registry. Every other field is in cfg, encoded by
+// appendConfigKey.
+type poolKey struct {
+	tel *telemetry.Config
+	met *metrics.Registry
+	cfg string
+}
+
+func newPoolKey(cfg *Config) poolKey {
+	var buf [configKeyLen]byte
+	return poolKey{cfg.Telemetry, cfg.Metrics, string(appendConfigKey(buf[:0], cfg))}
+}
+
+// configKeyLen is the usual length of appendConfigKey's encoding (the
+// fixed part plus ten FU classes and a short strategy name), the size
+// of the stack buffers it is built in.
+const configKeyLen = 32*8 + 2 + 1 + 10 + 16
+
+// appendConfigKey appends an injective encoding of every Config field
+// except Telemetry and Metrics: every number at fixed width (the lengths
+// of FUs and SchedStrategy among them), the flags as one bit set, then
+// the FUs classes and the strategy name. TestPoolKeyCoversConfig fails
+// when a field is added to Config (or to a struct nested in it) without
+// being encoded here.
+func appendConfigKey(b []byte, c *Config) []byte {
+	for _, v := range [...]int{
+		c.Width, c.Height, len(c.FUs), c.NWin,
+		c.ICache.SizeBytes, c.ICache.LineBytes, c.ICache.Assoc, c.ICache.MissPenalty,
+		c.DCache.SizeBytes, c.DCache.LineBytes, c.DCache.Assoc, c.DCache.MissPenalty,
+		c.VCacheKB, c.VCacheAssoc, c.DecodedBytes, c.NBABytes,
+		c.NextLIMissPenalty, c.SwitchToVLIW, c.SwitchToPrimary,
+		c.Pipeline.NotTakenBranchBubble, c.Pipeline.LoadUseBubble,
+		c.Pipeline.LoadLatency, c.Pipeline.FPLatency, c.Pipeline.FPDivLatency,
+		len(c.SchedStrategy), c.SchedNodeBudget,
+		c.LoadLatency, c.FPLatency, c.FPDivLatency,
+	} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	for _, v := range [...]uint64{c.MaxInstrs, c.MaxCycles, c.FastForward} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	var flags uint16
+	for i, v := range [...]bool{
+		c.ICache.Perfect, c.DCache.Perfect, c.NoChain, c.ExitPrediction,
+		c.NoSourceForwarding, c.TestMode, c.VerifyBlocks, c.FaultDropCopy,
+		c.FaultDropRename, c.FaultSwapSlots, c.FaultLatencyViolation,
+	} {
+		if v {
+			flags |= 1 << i
+		}
+	}
+	b = binary.LittleEndian.AppendUint16(b, flags)
+	b = append(b, byte(c.StoreScheme))
+	for _, fu := range c.FUs {
+		b = append(b, byte(fu))
+	}
+	return append(b, c.SchedStrategy...)
 }

@@ -9,7 +9,10 @@
 // image.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 const pageBits = 12
 const pageSize = 1 << pageBits
@@ -103,8 +106,30 @@ func (m *Memory) SetByte(addr uint32, v byte) error {
 	return nil
 }
 
-// Read reads size bytes (1, 2 or 4) big-endian, zero-extended.
+// Read reads size bytes (1, 2 or 4) big-endian, zero-extended. An access
+// inside one page (every aligned one) looks the page up once; one that
+// crosses a page boundary reads byte by byte and faults at the first
+// unmapped byte.
 func (m *Memory) Read(addr uint32, size uint8) (uint32, error) {
+	if off := addr & (pageSize - 1); off+uint32(size) <= pageSize {
+		p := m.pages[addr>>pageBits]
+		if p == nil {
+			m.Faults++
+			return 0, &FaultError{Addr: addr}
+		}
+		b := p[off : off+uint32(size)]
+		switch size {
+		case 4:
+			return binary.BigEndian.Uint32(b), nil
+		case 2:
+			return uint32(binary.BigEndian.Uint16(b)), nil
+		}
+		var v uint32
+		for _, x := range b {
+			v = v<<8 | uint32(x)
+		}
+		return v, nil
+	}
 	var v uint32
 	for i := uint8(0); i < size; i++ {
 		b, err := m.ByteAt(addr + uint32(i))
@@ -116,8 +141,31 @@ func (m *Memory) Read(addr uint32, size uint8) (uint32, error) {
 	return v, nil
 }
 
-// Write writes the low size bytes (1, 2 or 4) of v big-endian.
+// Write writes the low size bytes (1, 2 or 4) of v big-endian. As with
+// Read, an access inside one page looks the page up once and writes
+// nothing if it is unmapped; one that crosses a page boundary writes byte
+// by byte, up to the first unmapped byte.
 func (m *Memory) Write(addr uint32, v uint32, size uint8) error {
+	if off := addr & (pageSize - 1); off+uint32(size) <= pageSize {
+		p := m.pages[addr>>pageBits]
+		if p == nil {
+			m.Faults++
+			return &FaultError{Addr: addr}
+		}
+		b := p[off : off+uint32(size)]
+		switch size {
+		case 4:
+			binary.BigEndian.PutUint32(b, v)
+		case 2:
+			binary.BigEndian.PutUint16(b, uint16(v))
+		default:
+			for i := len(b) - 1; i >= 0; i-- {
+				b[i] = byte(v)
+				v >>= 8
+			}
+		}
+		return nil
+	}
 	for i := uint8(0); i < size; i++ {
 		shift := uint32(size-1-i) * 8
 		if err := m.SetByte(addr+uint32(i), byte(v>>shift)); err != nil {
@@ -179,29 +227,35 @@ func (m *Memory) diffAgainst(o *Memory) bool {
 }
 
 // FirstDiff returns the lowest address at which the two memories differ,
-// for diagnostics. ok is false if they are identical.
+// for diagnostics. ok is false if they are identical. Unmapped pages
+// compare equal to zero-filled pages. Pages whose contents are equal are
+// skipped whole; bytes are scanned only inside a page that differs.
 func (m *Memory) FirstDiff(o *Memory) (addr uint32, ok bool) {
-	best := uint32(0xFFFFFFFF)
-	found := false
-	check := func(a, b *Memory) {
+	best, found := uint32(0xFFFFFFFF), false
+	check := func(a, b *Memory, both bool) {
 		for pn, p := range a.pages {
 			op := b.pages[pn]
-			for i := 0; i < pageSize; i++ {
-				var ob byte
-				if op != nil {
-					ob = op[i]
-				}
-				if p[i] != ob {
-					ad := pn<<pageBits | uint32(i)
-					if !found || ad < best {
-						best, found = ad, true
-					}
+			switch {
+			case op == nil:
+				op = &zeroPage
+			case !both:
+				continue // mapped on both sides: the first pass covered it
+			}
+			if *p == *op || found && pn<<pageBits > best {
+				continue
+			}
+			for i := range p {
+				if p[i] != op[i] {
+					best, found = pn<<pageBits|uint32(i), true
 					break
 				}
 			}
 		}
 	}
-	check(m, o)
-	check(o, m)
+	check(m, o, true)
+	check(o, m, false)
 	return best, found
 }
+
+// zeroPage is the contents of an unmapped page.
+var zeroPage [pageSize]byte

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"sync"
 
+	"dtsvliw/internal/arch"
 	"dtsvliw/internal/asm"
 	"dtsvliw/internal/core"
+	"dtsvliw/internal/mem"
 	"dtsvliw/internal/metrics"
 	"dtsvliw/internal/progcheck"
 	"dtsvliw/internal/progen"
@@ -21,9 +23,16 @@ import (
 // to the full differential budget.
 const shrinkCycles = 1_000_000
 
-// shrinkRefInstrs bounds the sequential well-formedness run of each
-// shrink candidate.
-const shrinkRefInstrs = 5_000_000
+// shrinkRefInstrs bounds the sequential run of the program being shrunk.
+// Each candidate then gets shrinkRefFactor times that program's length
+// plus shrinkRefSlack: generated programs retire about a thousand
+// instructions, and a candidate that loops forever should cost about as
+// much as one that halts, not the whole cap.
+const (
+	shrinkRefInstrs = 5_000_000
+	shrinkRefFactor = 4
+	shrinkRefSlack  = 10_000
+)
 
 // NamedConfig pairs a machine configuration with the name used to select
 // it from the CLI and to label failures.
@@ -297,7 +306,7 @@ func (r *sweepRunner) runCase(i int) caseResult {
 		Source: src, OrigLines: countLines(src), Lines: countLines(src)}
 	var d *Divergence
 	if errors.As(err, &d) {
-		small, smallDiv := shrinkWith(src, nc.Cfg, r.o.ShrinkEvals, r.diffRun.onSource)
+		small, smallDiv := shrinkWith(src, nc.Cfg, r.o.ShrinkEvals, r.diffRun)
 		f.Source, f.Lines = small, countLines(small)
 		f.Div = smallDiv
 		if f.Div == nil {
@@ -465,26 +474,41 @@ func Sweep(o SweepOptions) *Report {
 // still diverges under cfg, and returns it with its divergence. A
 // candidate only counts as a reproducer if it is also a well-formed
 // program — it must assemble and halt cleanly under plain sequential
-// execution — so dropped lines cannot turn the failure into an ordinary
-// program fault. Shrinking prefers a tight cycle budget so candidates
-// that loop forever die fast, falling back to the full budget when the
-// original failure needs longer to surface.
+// execution within a budget derived from the original program's length —
+// so dropped lines cannot turn the failure into an ordinary program
+// fault. Shrinking prefers a tight cycle budget so candidates that loop
+// forever die fast, falling back to the full budget when the original
+// failure needs longer to surface.
 func ShrinkDivergence(src string, cfg core.Config, evals int) (string, *Divergence) {
-	return shrinkWith(src, cfg, evals, RunDiff)
+	return shrinkWith(src, cfg, evals, runDiffProgram)
 }
 
 // shrinkWith is ShrinkDivergence parameterised over the differential
 // runner, so a sweep shrinks with the same (pooled or fresh) runner that
-// found the failure.
-func shrinkWith(src string, cfg core.Config, evals int, run func(string, core.Config) (*Result, error)) (string, *Divergence) {
+// found the failure. Each candidate is assembled once, for its reference
+// run and its differential run.
+func shrinkWith(src string, cfg core.Config, evals int, run programRunner) (string, *Divergence) {
+	nwin := cfg.NWin
+	if nwin <= 0 {
+		nwin = defaultWin
+	}
+	ref := arch.NewState(nwin, mem.NewMemory())
+	p, err := asm.Assemble(src)
+	if err != nil || !refHalts(ref, p, shrinkRefInstrs) {
+		// Not a well-formed reproducer (should be impossible: the sweep
+		// certified and ran it). Hand back the original unshrunk.
+		return src, nil
+	}
+	refBudget := shrinkRefFactor*ref.Instret + shrinkRefSlack
 	diverges := func(budget uint64) func(string) bool {
 		c := cfg
 		c.MaxCycles = budget
 		return func(cand string) bool {
-			if !refHalts(cand, c.NWin) {
+			p, err := asm.Assemble(cand)
+			if err != nil || !refHalts(ref, p, refBudget) {
 				return false
 			}
-			_, err := run(cand, c)
+			_, err = run(p, c)
 			var d *Divergence
 			return errors.As(err, &d)
 		}
@@ -499,20 +523,20 @@ func shrinkWith(src string, cfg core.Config, evals int, run func(string, core.Co
 		}
 	}
 	small := Shrink(src, check, evals)
-	_, err := run(small, cfg)
+	_, err = run.onSource(small, cfg)
 	var d *Divergence
 	errors.As(err, &d)
 	return small, d
 }
 
-// refHalts reports whether src assembles and halts cleanly under the
-// sequential reference interpreter within the shrink budget.
-func refHalts(src string, nwin int) bool {
-	st, err := BuildState(src, nwin)
-	if err != nil {
-		return false
-	}
-	return st.Run(shrinkRefInstrs) == nil
+// refHalts loads p into st, reset to power-on, and reports whether it
+// halts cleanly under the sequential reference interpreter within budget
+// instructions.
+func refHalts(st *arch.State, p *asm.Program, budget uint64) bool {
+	st.Reset()
+	st.Mem.Recycle()
+	loadProgram(st, p)
+	return st.Run(budget) == nil
 }
 
 func countLines(s string) int {

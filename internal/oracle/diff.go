@@ -112,7 +112,14 @@ func normalizeDiffConfig(cfg core.Config) core.Config {
 // machine and reference interpreter (same program loaded into both). It
 // is the shared core of RunDiff and the pooled SweepContext.RunDiff.
 func runDiffOn(m *core.Machine, ref *Ref) (*Result, error) {
-	m.CheckpointHook = func(advance uint64, pc uint32, where string) error {
+	m.CheckpointHook = lockstep(m, ref)
+	return runLocked(m, ref)
+}
+
+// lockstep returns the checkpoint hook that advances ref by each
+// checkpoint's newly covered instructions and compares it with m.
+func lockstep(m *core.Machine, ref *Ref) func(advance uint64, pc uint32, where string) error {
+	return func(advance uint64, pc uint32, where string) error {
 		for i := uint64(0); i < advance; i++ {
 			if err := ref.Step(); err != nil {
 				return &Divergence{Where: where, Diff: err.Error(),
@@ -124,7 +131,10 @@ func runDiffOn(m *core.Machine, ref *Ref) (*Result, error) {
 				Diff: fmt.Sprintf("PC: machine %#08x, reference %#08x", pc, ref.St.PC),
 				Seq:  ref.Retired(), Context: ref.Context()}
 		}
-		if diff, ok := arch.CompareRegisters(m.St, ref.St); !ok {
+		// The machine and the reference form one lock-step pair, so the
+		// dirty-set comparison is exact (arch.CompareDirty); finalDiff
+		// still compares every register at halt.
+		if diff, ok := arch.CompareDirty(m.St, ref.St); !ok {
 			return &Divergence{Where: where, Diff: diff,
 				Seq: ref.Retired(), Context: ref.Context()}
 		}
@@ -139,7 +149,11 @@ func runDiffOn(m *core.Machine, ref *Ref) (*Result, error) {
 		}
 		return nil
 	}
+}
 
+// runLocked runs m, whose CheckpointHook keeps ref in lock-step, and
+// performs the final comparison at halt.
+func runLocked(m *core.Machine, ref *Ref) (*Result, error) {
 	if err := m.Run(); err != nil {
 		var d *Divergence
 		if errors.As(err, &d) {

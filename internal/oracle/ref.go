@@ -67,11 +67,12 @@ func (r *Ref) Step() error {
 		return fmt.Errorf("reference halted after %d instructions but the machine kept committing", r.n)
 	}
 	pc := r.St.PC
-	in, _, err := r.St.StepOutcome()
+	var out isa.Outcome
+	in, err := r.St.StepInto(&out)
 	if err != nil {
 		return err
 	}
-	r.ring[r.n%contextWindow] = refStep{pc: pc, in: in}
+	r.ring[r.n%contextWindow] = refStep{pc: pc, in: *in}
 	r.n++
 	return nil
 }

@@ -146,13 +146,8 @@ type Engine struct {
 	flatStamp []uint32 //resetcheck:allow epoch stamps; stale entries compare unequal to the bumped epoch
 	epoch     uint32   //resetcheck:allow monotonic by design; resetting it could revalidate stale stamps
 
-	shadowRegs []uint32   //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowF    [32]uint32 //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowICC  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowFCC  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowY    uint32     //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	shadowCWP  uint8      //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
-	undo       []undoRec  //resetcheck:allow truncated by BeginLowered before any read
+	shadow arch.RegCheckpoint //resetcheck:allow checkpoint buffer, fully rewritten by the next BeginLowered
+	undo   []undoRec          //resetcheck:allow truncated by BeginLowered before any read
 
 	scheme  StoreScheme //resetcheck:allow store-handling scheme fixed at construction
 	overlay *dataStoreOverlay
@@ -263,15 +258,7 @@ func (e *Engine) BeginLowered(lb *LoweredBlock) {
 	e.pendWrites = e.pendWrites[:0]
 	e.lpendRens = e.lpendRens[:0]
 	e.maxDue = 0
-	if e.shadowRegs == nil {
-		e.shadowRegs = make([]uint32, len(e.st.Regs))
-	}
-	copy(e.shadowRegs, e.st.Regs)
-	e.shadowF = e.st.F
-	e.shadowICC = e.st.ICC()
-	e.shadowFCC = e.st.FCC()
-	e.shadowY = e.st.Y()
-	e.shadowCWP = e.st.CWP()
+	e.st.SaveRegs(&e.shadow)
 	e.Stats.BlocksEntered++
 	e.epoch++
 	if e.epoch == 0 {
@@ -293,12 +280,7 @@ func (e *Engine) BeginLowered(lb *LoweredBlock) {
 // emptied (paper §3.11). It returns the recovery cost in cycles (one
 // cycle for the shadow-register restore plus one per recovery-list entry).
 func (e *Engine) recover() int {
-	copy(e.st.Regs, e.shadowRegs)
-	e.st.F = e.shadowF
-	e.st.SetICC(e.shadowICC)
-	e.st.SetFCC(e.shadowFCC)
-	e.st.SetY(e.shadowY)
-	e.st.SetCWP(e.shadowCWP)
+	e.st.RestoreRegs(&e.shadow)
 	e.pendWrites = e.pendWrites[:0]
 	e.lpendRens = e.lpendRens[:0]
 	e.maxDue = 0

@@ -53,8 +53,9 @@ type lcopy struct {
 }
 
 // lop is one lowered slot. Operand meaning depends on op; the handle
-// assignment mirrors isa.Exec's env-call order so the buffered effects
-// are emitted in the order the Primary Processor performs them.
+// assignment mirrors the sequential interpreter's write order so the
+// buffered effects are emitted in the order the Primary Processor
+// performs them.
 type lop struct {
 	op     isa.Op
 	isCopy bool
@@ -458,7 +459,7 @@ func (lo *lowerer) lowerSlot(s *sched.Slot) (lop, bool) {
 		}
 		op.c = int32(ncwp)
 		op.d1 = lo.wlh(s, isa.LocCWP)
-		// Rd resolves in the new window (isa.Exec writes after SetCWP).
+		// Rd resolves in the new window (the interpreter writes after SetCWP).
 		op.d0 = lo.whPhys(s, isa.PhysReg(ncwp, in.Rd, lo.nwin))
 
 	case isa.OpCALL:
@@ -471,8 +472,8 @@ func (lo *lowerer) lowerSlot(s *sched.Slot) (lop, bool) {
 		op.d0 = lo.wh(s, in.Rd)
 
 	case isa.OpBICC, isa.OpFBFCC:
-		// Resolved in phase 1; no phase-2 effects (matches isa.Exec, which
-		// only evaluates the condition).
+		// Resolved in phase 1; no phase-2 effects (matches the
+		// interpreter, which only evaluates the condition).
 
 	case isa.OpLD, isa.OpLDUB, isa.OpLDSB, isa.OpLDUH, isa.OpLDSH:
 		op.a = lo.rh(s, in.Rs1)

@@ -313,8 +313,9 @@ func (e *Engine) execLoweredCopy(op *lop, line int) error {
 }
 
 // execLoweredOp executes one lowered slot, buffering its effects with the
-// given due line. Effect order within a slot matches isa.Exec's env-call
-// order, so the buffered writes land as the Primary Processor's would.
+// given due line. Effect order within a slot matches the sequential
+// interpreter's, so the buffered writes land as the Primary Processor's
+// would.
 func (e *Engine) execLoweredOp(op *lop, due int) error {
 	switch op.op {
 	case isa.OpSETHI:
@@ -525,8 +526,8 @@ func (e *Engine) execLoweredOp(op *lop, due int) error {
 // computation, alignment check, then loads through loadMem (honouring the
 // data-store-list overlay) or buffered micro-stores routed either to the
 // pending-store arena or, for split stores, to the memory renaming
-// register. On any error nothing has been emitted (as in isa.Exec, whose
-// memory errors all precede the first write).
+// register. On any error nothing has been emitted (as in the sequential
+// interpreter, whose memory errors all precede the first write).
 func (e *Engine) execLoweredMem(op *lop, due int) error {
 	ea := e.lrdReg(op.a) + e.lop2(op)
 	size := op.memSize
